@@ -74,6 +74,9 @@ class AsPath:
     @classmethod
     def from_string(cls, text: str) -> "AsPath":
         """Parse ``"64500 64501 {64502,64503}"`` (LG rendering)."""
+        if not isinstance(text, str):
+            raise MalformedAsPathError(
+                f"AS path must be a string, got {text!r}")
         segments: List[AsPathSegment] = []
         run: List[int] = []
         in_set = False

@@ -236,6 +236,9 @@ def parse_community(text: str) -> Community:
     >>> parse_community("rt:64500:9").kind
     'extended'
     """
+    if not isinstance(text, str):
+        raise MalformedCommunityError(
+            f"community must be a string, got {text!r}")
     cleaned = text.strip()
     lowered = cleaned.lower()
     if lowered.startswith(("rt:", "ro:", "generic:")):

@@ -115,21 +115,97 @@ class Route:
         return payload
 
     @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "Route":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            prefix=payload["prefix"],
-            next_hop=payload["next_hop"],
-            as_path=AsPath.from_string(payload["as_path"]),
-            peer_asn=int(payload["peer_asn"]),
-            communities=frozenset(
-                parse_community(c) for c in payload.get("communities", ())),
-            extended_communities=frozenset(
-                parse_community(c)
-                for c in payload.get("extended_communities", ())),
-            large_communities=frozenset(
-                parse_community(c)
-                for c in payload.get("large_communities", ())),
-            filtered=bool(payload.get("filtered", False)),
-            filter_reason=payload.get("filter_reason"),
-        )
+    def from_dict(cls, payload: Dict[str, Any],
+                  memo: Optional["RouteDecodeMemo"] = None) -> "Route":
+        """Inverse of :meth:`to_dict`.
+
+        Pass one *memo* for every route of one payload (a snapshot, an
+        LG page) so each distinct prefix, AS-path and community string
+        is parsed once; without one, this route gets a memo of its own.
+        Either way the route equals the one the constructor builds.
+        """
+        if memo is None:
+            memo = RouteDecodeMemo()
+        # the constructor's order: with several bad fields, the same
+        # error wins (the prefix is canonicalised last, in __post_init__)
+        prefix = payload["prefix"]
+        next_hop = payload["next_hop"]
+        as_path = memo.as_path(payload["as_path"])
+        peer_asn = int(payload["peer_asn"])
+        communities = memo.community_set(payload.get("communities", ()))
+        extended = memo.community_set(
+            payload.get("extended_communities", ()))
+        large = memo.community_set(payload.get("large_communities", ()))
+        filtered = bool(payload.get("filtered", False))
+        filter_reason = payload.get("filter_reason")
+        route = object.__new__(cls)
+        # every value is canonical and frozen: __post_init__ would
+        # only repeat the work the memo saved.
+        route.__dict__.update(
+            prefix=memo.prefix(prefix), next_hop=next_hop,
+            as_path=as_path, peer_asn=peer_asn, communities=communities,
+            extended_communities=extended, large_communities=large,
+            filtered=filtered, filter_reason=filter_reason)
+        return route
+
+
+class RouteDecodeMemo:
+    """Parse results shared by the routes of one JSON payload.
+
+    Within a snapshot or an LG page the same prefixes, AS paths and
+    community lists repeat on many routes. The memo maps each distinct
+    raw value to its parsed form: a prefix string to its canonical
+    form, an AS-path string to one :class:`AsPath`, a community string
+    to one community, and a community list to one shared ``frozenset``.
+
+    A caller creates one per payload and drops it with the payload, so
+    its size is bounded by what is being decoded. Only successful
+    parses are stored and only ``str`` values are keys: malformed input
+    reaches the parser every time and raises what it always raises.
+    """
+
+    __slots__ = ("prefixes", "paths", "communities", "sets")
+
+    def __init__(self) -> None:
+        self.prefixes: Dict[str, str] = {}
+        self.paths: Dict[str, AsPath] = {}
+        self.communities: Dict[str, Community] = {}
+        self.sets: Dict[Tuple[str, ...], FrozenSet[Community]] = {}
+
+    def prefix(self, raw: Any) -> str:
+        if type(raw) is not str:
+            return canonical(raw)
+        value = self.prefixes.get(raw)
+        if value is None:
+            value = self.prefixes[raw] = canonical(raw)
+        return value
+
+    def as_path(self, raw: Any) -> AsPath:
+        if type(raw) is not str:
+            return AsPath.from_string(raw)
+        value = self.paths.get(raw)
+        if value is None:
+            value = self.paths[raw] = AsPath.from_string(raw)
+        return value
+
+    def community(self, raw: Any) -> Community:
+        if type(raw) is not str:
+            return parse_community(raw)
+        value = self.communities.get(raw)
+        if value is None:
+            value = self.communities[raw] = parse_community(raw)
+        return value
+
+    def community_set(self, raw: Any) -> FrozenSet[Community]:
+        try:
+            key = tuple(raw)
+            value = self.sets.get(key)
+        except TypeError:
+            # not iterable, or an unhashable member: parse as the
+            # constructor would, which raises the same error it always did
+            return frozenset(parse_community(c) for c in raw)
+        if value is None:
+            known, community = self.communities.get, self.community
+            value = frozenset([known(c) or community(c) for c in key])
+            self.sets[key] = value
+        return value

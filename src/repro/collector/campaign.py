@@ -68,7 +68,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
-from ..bgp.route import Route
+from ..bgp.route import Route, RouteDecodeMemo
 from ..ixp.member import Member, MemberRole
 from ..lg.aio import AsyncLookingGlassClient
 from ..lg.api import DEFAULT_PAGE_SIZE, NeighborSummary
@@ -511,6 +511,10 @@ class CollectionCampaign:
         # progress so far: {asn(str): {"routes": [...], "filtered": n,
         # "name": str}}
         peers: Dict[str, Dict[str, Any]] = {}
+        # the parsed routes of each peer collected in this run, kept
+        # beside (not inside) the checkpoint entries so the snapshot is
+        # built without parsing them again; resumed peers have none.
+        collected: Dict[str, List[Route]] = {}
         if resume:
             checkpoint = self.store.load_checkpoint(
                 target.ixp, target.family, captured_on)
@@ -563,21 +567,21 @@ class CollectionCampaign:
             key=lambda n: n.asn)
         pending = [n for n in established if str(n.asn) not in peers]
         if self.config.io == "async":
-            self._collect_peers_async(client, pending, peers, report,
-                                      target, captured_on, started)
+            self._collect_peers_async(client, pending, peers, collected,
+                                      report, target, captured_on, started)
         elif max(1, self.config.workers) == 1:
-            self._collect_peers_serial(client, pending, peers, report,
-                                       target, captured_on, started)
+            self._collect_peers_serial(client, pending, peers, collected,
+                                       report, target, captured_on, started)
         else:
-            self._collect_peers_pooled(client, pending, peers, report,
-                                       target, captured_on, started)
+            self._collect_peers_pooled(client, pending, peers, collected,
+                                       report, target, captured_on, started)
 
         if report.deadline_hit or report.interrupted:
             self._save_checkpoint(target, captured_on, peers, report)
             report.status = STATUS_INCOMPLETE
         else:
             snapshot = self._build_snapshot(
-                target, captured_on, established, peers, report)
+                target, captured_on, established, peers, collected, report)
             report.snapshot_path = str(self.store.save_snapshot(snapshot))
             self.store.delete_checkpoint(
                 target.ixp, target.family, captured_on)
@@ -596,6 +600,7 @@ class CollectionCampaign:
     def _collect_peers_serial(self, client: LookingGlassClient,
                               pending: Sequence[NeighborSummary],
                               peers: Dict[str, Dict[str, Any]],
+                              collected: Dict[str, List[Route]],
                               report: TargetReport,
                               target: CampaignTarget, captured_on: str,
                               started: float) -> None:
@@ -612,7 +617,7 @@ class CollectionCampaign:
             report.peers_attempted += 1
             outcome = self._collect_peer(client, neighbor, target)
             if not self._apply_outcome(target, report, neighbor,
-                                       outcome, peers):
+                                       outcome, peers, collected):
                 continue
             since_checkpoint += 1
             if since_checkpoint >= max(1, self.config.checkpoint_every):
@@ -623,6 +628,7 @@ class CollectionCampaign:
     def _collect_peers_pooled(self, client: LookingGlassClient,
                               pending: Sequence[NeighborSummary],
                               peers: Dict[str, Dict[str, Any]],
+                              collected: Dict[str, List[Route]],
                               report: TargetReport,
                               target: CampaignTarget, captured_on: str,
                               started: float) -> None:
@@ -667,7 +673,8 @@ class CollectionCampaign:
                 for future in done:
                     neighbor = inflight.pop(future)
                     if self._apply_outcome(target, report, neighbor,
-                                           future.result(), peers):
+                                           future.result(), peers,
+                                           collected):
                         since_checkpoint += 1
                 if since_checkpoint >= max(1,
                                            self.config.checkpoint_every):
@@ -692,6 +699,7 @@ class CollectionCampaign:
     def _collect_peers_async(self, client: LookingGlassClient,
                              pending: Sequence[NeighborSummary],
                              peers: Dict[str, Dict[str, Any]],
+                             collected: Dict[str, List[Route]],
                              report: TargetReport,
                              target: CampaignTarget, captured_on: str,
                              started: float) -> None:
@@ -739,7 +747,7 @@ class CollectionCampaign:
                 if task.error is not None:
                     raise task.error  # a bug, not a taxonomy failure
                 if self._apply_outcome(target, report, neighbor,
-                                       task.result, peers):
+                                       task.result, peers, collected):
                     since_checkpoint += 1
             if since_checkpoint >= max(1, self.config.checkpoint_every):
                 self._save_checkpoint(target, captured_on, peers,
@@ -798,7 +806,8 @@ class CollectionCampaign:
                        report: TargetReport,
                        neighbor: NeighborSummary,
                        outcome: "_PeerOutcome",
-                       peers: Dict[str, Dict[str, Any]]) -> bool:
+                       peers: Dict[str, Dict[str, Any]],
+                       collected: Dict[str, List[Route]]) -> bool:
         """Fold one peer's outcome into the report and progress map —
         always on the coordinating thread. True = peer collected."""
         metrics = _METRICS()
@@ -819,6 +828,7 @@ class CollectionCampaign:
             "filtered": neighbor.routes_filtered,
             "name": neighbor.name,
         }
+        collected[str(neighbor.asn)] = outcome.routes
         return True
 
     def _collect_peer(self, client: LookingGlassClient,
@@ -933,8 +943,13 @@ class CollectionCampaign:
     def _build_snapshot(self, target: CampaignTarget, captured_on: str,
                         established: Sequence[NeighborSummary],
                         peers: Dict[str, Dict[str, Any]],
+                        collected: Dict[str, List[Route]],
                         report: TargetReport) -> Snapshot:
         """Assemble the snapshot from the progress map.
+
+        Peers collected in this run contribute the routes parsed from
+        their LG pages; only peers resumed from a checkpoint are decoded
+        from their checkpoint entries, sharing one memo.
 
         Deterministic by construction: members and routes are emitted
         in ASN order, membership covers exactly the collected peers
@@ -946,6 +961,7 @@ class CollectionCampaign:
         members: List[Member] = []
         routes: List[Route] = []
         filtered_count = 0
+        memo = RouteDecodeMemo()
         # checkpointed peers that left the peer list since the first
         # run still belong to this date's snapshot.
         for asn in sorted(peers, key=int):
@@ -957,7 +973,10 @@ class CollectionCampaign:
                 at_rs_v4=target.family == 4,
                 at_rs_v6=target.family == 6,
             ))
-            routes.extend(Route.from_dict(r) for r in entry["routes"])
+            fresh = collected.get(asn)
+            if fresh is None:
+                fresh = [Route.from_dict(r, memo) for r in entry["routes"]]
+            routes.extend(fresh)
             filtered_count += int(entry.get("filtered", 0))
         failures = sorted(report.failures, key=lambda f: f.asn)
         failed = [f.asn for f in failures]

@@ -12,7 +12,7 @@ import datetime as _dt
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional
 
-from ..bgp.route import Route
+from ..bgp.route import Route, RouteDecodeMemo
 from ..ixp.member import Member
 
 #: top-level keys an on-disk snapshot payload must carry; the store's
@@ -117,12 +117,14 @@ class Snapshot:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "Snapshot":
+        memo = RouteDecodeMemo()
         return cls(
             ixp=str(payload["ixp"]),
             family=int(payload["family"]),
             captured_on=str(payload["captured_on"]),
             members=[Member.from_dict(m) for m in payload.get("members", ())],
-            routes=[Route.from_dict(r) for r in payload.get("routes", ())],
+            routes=[Route.from_dict(r, memo)
+                    for r in payload.get("routes", ())],
             filtered_count=int(payload.get("filtered_count", 0)),
             meta=dict(payload.get("meta", {})),
         )

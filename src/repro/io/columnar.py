@@ -57,7 +57,8 @@ import binascii
 import ipaddress
 import lzma
 from collections import Counter
-from typing import Any, Dict, List, Optional, Tuple
+from itertools import accumulate
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..bgp.aspath import AsPath
 from ..bgp.communities import (
@@ -164,6 +165,25 @@ class _Cursor:
 
     def done(self) -> bool:
         return self.pos == len(self.data)
+
+
+def _varints(cursor: _Cursor, count: int) -> Sequence[int]:
+    """The next *count* uvarints. The set table and the per-route
+    columns are runs of varints that nearly always fit one byte each;
+    such a run is its own bytes, sliced without a per-value loop."""
+    chunk = cursor.data[cursor.pos:cursor.pos + count]
+    if len(chunk) == count and (not count or max(chunk) < 0x80):
+        cursor.pos += count
+        return chunk
+    return [cursor.uvarint() for _ in range(count)]
+
+
+#: gap -> gap + 1, as a C-level callable for ``map``
+_SUCCESSOR = (1).__add__
+
+
+def _unzigzag(value: int) -> int:
+    return (value >> 1) ^ -(value & 1)
 
 
 # -- encoding ------------------------------------------------------------
@@ -399,7 +419,7 @@ def _decode_body(raw: bytes, expected_routes: int) -> List[Route]:
         tail_overrides[position] = cursor.uvarint()
 
     new_route = object.__new__
-    path_cache: Dict[Tuple[int, int], AsPath] = {}
+    path_cache: Dict[int, Dict[int, AsPath]] = {}  # peer -> tail id -> path
     routes: List[Optional[Route]] = []
     for _ in range(run_count):
         peer_asn = cursor.uvarint()
@@ -411,71 +431,49 @@ def _decode_body(raw: bytes, expected_routes: int) -> List[Route]:
         flavours = [2 if isinstance(c, LargeCommunity)
                     else 1 if isinstance(c, ExtendedCommunity) else 0
                     for c in parsed]
-        empty = (frozenset(), frozenset(), frozenset())
+        # per flavour, the community of each id, indexed by id + 1 (the
+        # running sum of gap + 1 below); None, which the set build
+        # filters out, where the id is another flavour
+        lookups: List[List[Any]] = [[None] * (universe_size + 1)
+                                    for _ in range(3)]
+        for community_id, flavour in enumerate(flavours):
+            lookups[flavour][community_id + 1] = parsed[community_id]
+        present = sorted(set(flavours))
         table_size = cursor.uvarint()
-        set_table: List[Tuple[frozenset, frozenset, frozenset]] = []
+        set_table: List[Tuple[frozenset, ...]] = []
         for _ in range(table_size):
-            size = cursor.uvarint()
-            if not size:
-                set_table.append(empty)
-                continue
-            standard: List[Any] = []
-            extended: List[Any] = []
-            large: List[Any] = []
-            community_id = -1
-            for _ in range(size):
-                community_id += cursor.uvarint() + 1
-                if community_id >= universe_size:
-                    raise ColumnarFormatError(
-                        "set member out of range")
-                (standard, extended,
-                 large)[flavours[community_id]].append(
-                     parsed[community_id])
-            set_table.append((frozenset(standard), frozenset(extended),
-                              frozenset(large)))
-        set_ids = []
-        for _ in range(count):
-            set_id = cursor.uvarint()
-            if set_id >= table_size:
-                raise ColumnarFormatError("set reference out of range")
-            set_ids.append(set_id)
+            gaps = _varints(cursor, cursor.uvarint())
+            # each member's id + 1, ascending
+            slots = list(accumulate(map(_SUCCESSOR, gaps)))
+            if slots and slots[-1] > universe_size:
+                raise ColumnarFormatError("set member out of range")
+            sets = [frozenset()] * 3
+            for flavour in present:
+                sets[flavour] = frozenset(
+                    filter(None, map(lookups[flavour].__getitem__, slots)))
+            set_table.append(tuple(sets))
+        set_ids = _varints(cursor, count)
+        if count and max(set_ids) >= table_size:
+            raise ColumnarFormatError("set reference out of range")
         run_base = len(routes)
         run_overrides = {position - run_base: tail_id
                          for position, tail_id in tail_overrides.items()
                          if run_base <= position < run_base + count}
-        pool_size = len(pool)
-        path_cache_get = path_cache.get
+        indices = list(accumulate(map(_unzigzag, _varints(cursor, count))))
+        if indices and not (0 <= min(indices) and max(indices) < len(pool)):
+            raise ColumnarFormatError("prefix reference out of range")
+        peer_paths = path_cache.setdefault(peer_asn, {})
         append_route = routes.append
-        data, pos = cursor.data, cursor.pos
-        previous = 0
-        for position in range(count):
-            # inlined zigzag varint read — this loop dominates decode
-            value = shift = 0
-            while True:
-                try:
-                    byte = data[pos]
-                except IndexError:
-                    raise ColumnarFormatError("truncated varint") \
-                        from None
-                pos += 1
-                value |= (byte & 0x7F) << shift
-                if not byte & 0x80:
-                    break
-                shift += 7
-            delta = (value >> 1) if not value & 1 else -((value + 1) >> 1)
-            index = delta + previous if position else delta
-            if not 0 <= index < pool_size:
-                raise ColumnarFormatError("prefix reference out of range")
-            previous = index
-            sets = set_table[set_ids[position]]
+        for position, (index, set_id) in enumerate(zip(indices, set_ids)):
+            sets = set_table[set_id]
             tail_id = run_overrides.get(position) if run_overrides \
                 else None
             if tail_id is None:
                 tail_id = default_tail[index]
-            if tail_id >= tail_count:
-                raise ColumnarFormatError("tail reference out of range")
-            path = path_cache_get((peer_asn, tail_id))
+            path = peer_paths.get(tail_id)
             if path is None:
+                if tail_id >= tail_count:
+                    raise ColumnarFormatError("tail reference out of range")
                 tail = tails[tail_id]
                 if tail.startswith(_FULL_PATH_MARK):
                     path = AsPath.from_string(tail[1:])
@@ -483,7 +481,7 @@ def _decode_body(raw: bytes, expected_routes: int) -> List[Route]:
                     path = AsPath.from_string(f"{peer_asn} {tail}")
                 else:
                     path = AsPath.from_string(str(peer_asn))
-                path_cache[(peer_asn, tail_id)] = path
+                peer_paths[tail_id] = path
             route = new_route(Route)
             route.__dict__.update(
                 prefix=pool[index], next_hop=next_hop, as_path=path,
@@ -491,7 +489,6 @@ def _decode_body(raw: bytes, expected_routes: int) -> List[Route]:
                 extended_communities=sets[1], large_communities=sets[2],
                 filtered=False, filter_reason=None)
             append_route(route)
-        cursor.pos = pos
     if len(routes) != total:
         raise ColumnarFormatError("run lengths do not sum to route count")
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..bgp.route import Route
+from ..bgp.route import Route, RouteDecodeMemo
 
 API_PREFIX = "/api/v1"
 DEFAULT_PAGE_SIZE = 500
@@ -91,7 +91,8 @@ class NeighborSummary:
 
 
 def parse_routes_page(payload: Dict[str, Any]) -> List[Route]:
-    return [Route.from_dict(r) for r in payload.get("routes", ())]
+    memo = RouteDecodeMemo()
+    return [Route.from_dict(r, memo) for r in payload.get("routes", ())]
 
 
 def total_pages(payload: Dict[str, Any]) -> int:

@@ -7,6 +7,7 @@ waits, and breaker cooldowns all run instantly.
 
 import pytest
 
+from repro.bgp.route import Route
 from repro.collector import DatasetStore
 from repro.collector.campaign import (
     STATUS_ALREADY_COLLECTED,
@@ -96,6 +97,25 @@ class TestHappyPath:
         assert set(report.failure_counts) == set(FAILURE_CLASSES)
         assert all(count == 0 for count in report.failure_counts.values())
 
+    def test_collected_routes_are_parsed_once(self, mounts, tmp_path,
+                                              monkeypatch):
+        """Each route is parsed from its LG page and nowhere else: the
+        snapshot is built from those routes, not from the checkpoint
+        entries written beside them."""
+        parses = []
+        from_dict = Route.from_dict.__func__
+
+        def counted(cls, payload, memo=None):
+            parses.append(payload["prefix"])
+            return from_dict(cls, payload, memo)
+
+        monkeypatch.setattr(Route, "from_dict", classmethod(counted))
+        store = DatasetStore(tmp_path / "ds")
+        with start_server(mounts).serve() as url:
+            assert make_campaign(store, url, checkpoint_every=1).run() \
+                .complete
+        assert len(parses) == len(mounts[("linx", 4)].accepted_routes())
+
     def test_summary_and_dict_round_trip(self, clean_run):
         report, _store = clean_run
         text = report.format_summary()
@@ -155,6 +175,11 @@ class TestResume:
         assert snapshot.route_count == reference.route_count
         assert snapshot.member_count == reference.member_count
         assert snapshot.meta["campaign"]["resumed_peers"] == checkpointed
+        # resumed peers decode from the checkpoint, the rest come as
+        # parsed from their LG pages: together they equal the control
+        stitched, control = snapshot.to_dict(), reference.to_dict()
+        assert stitched["routes"] == control["routes"]
+        assert stitched["members"] == control["members"]
         assert not store.has_checkpoint("linx", 4, DATE)
 
     def test_resume_skips_already_collected_dates(self, mounts, tmp_path):

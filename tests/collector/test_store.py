@@ -152,6 +152,32 @@ class TestIntegrityFailures:
             store.load_snapshot("linx", 4, "2021-07-19")
         self._assert_quarantined(store, path, excinfo.value)
 
+    @pytest.mark.parametrize("field, value", [
+        ("as_path", 5),
+        ("as_path", ["64500"]),
+        ("communities", [5]),
+        ("communities", [{}]),
+        ("large_communities", [None]),
+    ], ids=["path-int", "path-list", "community-int", "community-dict",
+            "large-null"])
+    def test_mistyped_route_field_is_schema_drift(self, store, field,
+                                                  value):
+        """A route field of the wrong JSON type, under an intact
+        envelope and manifest entry, is schema drift: typed and
+        quarantined, never a raw AttributeError."""
+        payload = snapshot("2021-07-19").to_dict()
+        route = {"prefix": "203.0.113.0/24", "next_hop": "192.0.2.1",
+                 "as_path": "64500", "peer_asn": 64500,
+                 "communities": [], "extended_communities": [],
+                 "large_communities": []}
+        route[field] = value
+        payload["routes"] = [route]
+        path = store._snapshot_path("linx", 4, "2021-07-19")
+        store._write_artefact(path, payload, "snapshot", gz=True)
+        with pytest.raises(SchemaDriftError) as excinfo:
+            store.load_snapshot("linx", 4, "2021-07-19")
+        self._assert_quarantined(store, path, excinfo.value)
+
     def test_legacy_file_disagreeing_with_manifest(self, saved):
         """A pre-envelope file cannot vouch for itself; when the
         manifest disagrees, the manifest wins."""
