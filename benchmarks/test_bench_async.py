@@ -1,27 +1,20 @@
-"""Async LG collection vs the thread pool against a slow Looking Glass.
+"""Async LG collection at high fan-out against a slow Looking Glass.
 
-Two regimes, both over real HTTP against the simulated LG with a
+Over real HTTP against the simulated LG with a
 ``FaultSchedule(slow_every=1, slow_delay=...)`` stalling **every**
-response — the paper's remote-LG latency, compressed:
+response — the paper's remote-LG latency, compressed — the async
+engine runs at ``max_inflight=128`` against a server enforcing the
+per-mount concurrent-connection cap fault mode at exactly the client's
+``max_connections``. Gates: measured ``peak_inflight`` ≥
+``MIN_INFLIGHT_RATIO``x the mount's peer count (the in-flight bound
+of any engine whose unit of work is a whole peer, because the async
+engine fans individual route *pages* onto one selectors loop), and
+**zero** cap rejections — the client-side connection cap really
+bounds the pressure the LG sees even while page fan-out runs far past
+it.
 
-* **equal parallelism** — a two-mount campaign (bcix + netnod v4)
-  collected with the thread pool (``workers=N``) and with the
-  event-loop engine (``io="async", max_inflight=N``) at the same
-  ``N``. The pool's unit of work is a whole peer, so its practical
-  concurrency tops out at the mount's peer count (26/36 here, far
-  below ``N``) and its wall clock is bounded from below by the
-  slowest peer's serial page chain. The async engine fans individual
-  route *pages* onto one selectors loop and has no such floor. The
-  acceptance gate asserts async ≥ ``MIN_SPEEDUP``x faster; both
-  engines must produce byte-identical snapshots (the second run
-  recycles the first server's port so ``meta["source"]`` matches).
-* **high fan-out** — the async engine at ``max_inflight=128`` against
-  a server enforcing the per-mount concurrent-connection cap fault
-  mode at exactly the client's ``max_connections``. Gates: measured
-  ``peak_inflight`` ≥ ``MIN_INFLIGHT_RATIO``x the thread pool's
-  practical in-flight bound (min(N, peers)), and **zero** cap
-  rejections — the client-side connection cap really bounds the
-  pressure the LG sees even while page fan-out runs far past it.
+The serial-vs-async wall-clock gate lives in
+``test_bench_collection.py``.
 
 Results land in ``BENCH_async.json`` at the repo root.
 """
@@ -34,12 +27,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.collector import DatasetStore
-from repro.collector.campaign import (
-    CampaignConfig,
-    CampaignTarget,
-    CollectionCampaign,
-)
 from repro.ixp import get_profile
 from repro.lg import (
     AsyncLookingGlassClient,
@@ -55,121 +42,34 @@ from conftest import SEED, emit
 HERE = Path(__file__).resolve().parent
 BENCH_OUT = HERE.parent / "BENCH_async.json"
 
-#: the campaign's mounts: a small and a mid-size IXP, v4 tables.
-MOUNTS = (("bcix", 4), ("netnod", 4))
+#: the mount: a small IXP's v4 table.
+MOUNT = ("bcix", 4)
 BENCH_SCALE = 0.012
-DATE = "2021-10-04"
 #: small pages make pagination the workload: at calibration scale each
 #: peer announces only tens of routes, so page_size=5 reproduces the
-#: paper's many-pages-per-peer regime (~620 page fetches here, the
-#: deepest peer 71 pages).
+#: paper's many-pages-per-peer regime.
 PAGE_SIZE = 5
 #: server-side stall added to every response.
 SLOW_DELAY = 0.02
-#: equal-parallelism point: same N for the pool and the loop.
-PARALLELISM = 96
 #: high fan-out point and the per-mount connection cap enforced by
 #: the server (== the async client's max_connections).
 HIGH_FANOUT = 128
-#: acceptance floors.
-MIN_SPEEDUP = 2.0
+#: acceptance floor: peak in-flight page fetches per peer.
 MIN_INFLIGHT_RATIO = 4.0
 
 
-def _slow_faults() -> FaultSchedule:
-    """A fresh schedule per run: the fault counter is part of the
-    "same inputs" contract the byte-parity check relies on."""
-    return FaultSchedule(slow_every=1, slow_delay=SLOW_DELAY)
-
-
 @pytest.fixture(scope="module")
-def route_servers():
-    servers = {}
-    for ixp, family in MOUNTS:
-        generator = SnapshotGenerator(
-            get_profile(ixp),
-            ScenarioConfig(scale=BENCH_SCALE, seed=SEED))
-        servers[(ixp, family)] = generator.populated_route_server(family)
-    return servers
-
-
-def _campaign(store, url, **engine):
-    config = CampaignConfig(
-        base_url=url,
-        targets=[CampaignTarget(ixp=ixp, family=family)
-                 for ixp, family in MOUNTS],
-        captured_on=DATE,
-        page_size=PAGE_SIZE,
-        # rare checkpoints: the bench times the fetch engines, not
-        # per-peer checkpoint I/O (identical for both engines anyway)
-        checkpoint_every=500,
-        backoff_base=0.001,
-        backoff_cap=0.01,
-        **engine)
-    return CollectionCampaign(store, config)
-
-
-@pytest.fixture(scope="module")
-def equal_parallelism(route_servers, tmp_path_factory):
-    """Run the same slow-LG campaign with both engines at N; return
-    timings, stores, and the per-mount peer counts."""
-    root = tmp_path_factory.mktemp("async-bench")
-    timings = {}
-    stores = {}
-    port = 0
-    for label, engine in (
-            ("threads", {"workers": PARALLELISM}),
-            ("async", {"io": "async", "max_inflight": PARALLELISM})):
-        server = LookingGlassServer(
-            dict(route_servers), rate_per_second=100_000, burst=100_000,
-            faults=_slow_faults(), port=port)
-        store = DatasetStore(root / label)
-        with server.serve() as url:
-            started = time.perf_counter()
-            report = _campaign(store, url, **engine).run()
-            timings[label] = time.perf_counter() - started
-        # recycle the ephemeral port so both snapshots carry the same
-        # source URL (it is part of the snapshot bytes)
-        port = server.port
-        assert report.complete, (label, report.to_dict())
-        stores[label] = store
-    peers = {f"{ixp}/v{family}": len(rs.peer_asns())
-             for (ixp, family), rs in route_servers.items()}
-    return timings, stores, peers
-
-
-def test_equal_parallelism_speedup(equal_parallelism):
-    timings, stores, peers = equal_parallelism
-    for ixp, family in MOUNTS:
-        threads_bytes = stores["threads"]._snapshot_path(
-            ixp, family, DATE).read_bytes()
-        async_bytes = stores["async"]._snapshot_path(
-            ixp, family, DATE).read_bytes()
-        assert async_bytes == threads_bytes, (ixp, family)
-
-    speedup = timings["threads"] / timings["async"]
-    emit(
-        f"async vs threads at equal parallelism N={PARALLELISM} "
-        f"(slow LG, {SLOW_DELAY * 1000:.0f}ms/request, "
-        f"floor {MIN_SPEEDUP:.0f}x)",
-        f"mounts: {', '.join(f'{m} ({n} peers)' for m, n in sorted(peers.items()))}\n"
-        f"threads({PARALLELISM}): {timings['threads']:.3f}s "
-        f"(pool unit = peer; bounded by slowest peer's page chain)\n"
-        f"async({PARALLELISM}):   {timings['async']:.3f}s "
-        f"(unit = page; bounded by total pages / N)\n"
-        f"speedup: {speedup:.2f}x — snapshots byte-identical")
-    assert speedup >= MIN_SPEEDUP, timings
-
-
-@pytest.fixture(scope="module")
-def high_fanout(route_servers):
-    """The async engine far past the pool's reach, against a server
+def high_fanout():
+    """The async engine far past one fetch per peer, against a server
     enforcing the connection cap exactly at the client's budget."""
-    ixp, family = MOUNTS[0]
+    ixp, family = MOUNT
+    generator = SnapshotGenerator(
+        get_profile(ixp), ScenarioConfig(scale=BENCH_SCALE, seed=SEED))
     server = LookingGlassServer(
-        {(ixp, family): route_servers[(ixp, family)]},
+        {MOUNT: generator.populated_route_server(family)},
         rate_per_second=100_000, burst=100_000,
-        faults=_slow_faults(), connection_cap=HIGH_FANOUT)
+        faults=FaultSchedule(slow_every=1, slow_delay=SLOW_DELAY),
+        connection_cap=HIGH_FANOUT)
     with server.serve() as url:
         sync = LookingGlassClient(base_url=url, ixp=ixp, family=family)
         established = sorted(
@@ -203,19 +103,16 @@ def high_fanout(route_servers):
 
 def test_high_fanout_sustains_inflight_within_cap(high_fanout):
     result = high_fanout
-    # the pool's unit of work is a whole peer: with workers=N its
-    # in-flight request count can never exceed the peer count.
-    threads_practical = min(PARALLELISM, result["peers"])
-    ratio = result["peak_inflight"] / threads_practical
+    ratio = result["peak_inflight"] / result["peers"]
 
     emit(
         f"async high fan-out max_inflight={HIGH_FANOUT} under "
         f"connection cap {HIGH_FANOUT} (floor {MIN_INFLIGHT_RATIO:.0f}x "
-        f"thread-pool practical in-flight)",
+        f"the peer count)",
         f"mount {result['mount']}: {result['peers']} peers, "
         f"{result['elapsed_s']:.3f}s, {result['errors']} errors\n"
-        f"peak inflight {result['peak_inflight']} vs thread-pool "
-        f"practical {threads_practical} -> {ratio:.2f}x\n"
+        f"peak inflight {result['peak_inflight']} vs "
+        f"{result['peers']} peers -> {ratio:.2f}x\n"
         f"connections: opened {result['pool_opened']}, server peak "
         f"{result['peak_connections']}, cap rejections "
         f"{result['cap_rejections']}")
@@ -227,41 +124,27 @@ def test_high_fanout_sustains_inflight_within_cap(high_fanout):
     assert ratio >= MIN_INFLIGHT_RATIO, result
 
 
-def test_write_bench_artifact(equal_parallelism, high_fanout):
-    timings, _stores, peers = equal_parallelism
-    threads_practical = min(PARALLELISM, high_fanout["peers"])
+def test_write_bench_artifact(high_fanout):
     payload = {
-        "version": 1,
+        "version": 2,
         "scale": BENCH_SCALE,
         "seed": SEED,
-        "mounts": [f"{ixp}/v{family}" for ixp, family in MOUNTS],
-        "peers": peers,
         "page_size": PAGE_SIZE,
         "slow_delay_s": SLOW_DELAY,
-        "floors": {"speedup": MIN_SPEEDUP,
-                   "inflight_ratio": MIN_INFLIGHT_RATIO},
-        "equal_parallelism": {
-            "parallelism": PARALLELISM,
-            "threads_s": timings["threads"],
-            "async_s": timings["async"],
-            "speedup": timings["threads"] / timings["async"],
-            "snapshots_identical": True,
-        },
+        "floors": {"inflight_ratio": MIN_INFLIGHT_RATIO},
         "high_fanout": {
             "max_inflight": HIGH_FANOUT,
             "connection_cap": HIGH_FANOUT,
-            "threads_practical_inflight": threads_practical,
             "inflight_ratio":
-                high_fanout["peak_inflight"] / threads_practical,
+                high_fanout["peak_inflight"] / high_fanout["peers"],
             **high_fanout,
         },
         "note": ("every response is stalled slow_delay_s server-side; "
-                 "the thread pool's unit of work is a whole peer, so "
-                 "its wall clock is floored by the slowest peer's "
-                 "serial page chain and its in-flight count by the "
-                 "peer count — the async engine fans route pages "
-                 "onto one selectors loop under max_inflight and a "
-                 "hard per-host connection cap"),
+                 "an engine whose unit of work is a whole peer keeps "
+                 "at most one request per peer in flight — the async "
+                 "engine fans route pages onto one selectors loop "
+                 "under max_inflight and a hard per-host connection "
+                 "cap"),
     }
     BENCH_OUT.write_text(json.dumps(payload, indent=1, sort_keys=True)
                          + "\n")

@@ -18,9 +18,9 @@ Subcommands:
 * ``campaign`` — run a fault-tolerant collection campaign against a
   Looking Glass URL (checkpointed; re-run with ``--resume`` to pick up
   an interrupted collection at the last completed peer; SIGINT/SIGTERM
-  park the run gracefully with exit code 2; ``--workers N`` fans
-  per-peer fetches over a bounded pool and ``--target-workers M``
-  collects mounts concurrently — snapshot bytes are identical to a
+  park the run gracefully with exit code 2; ``--io async`` fans route
+  pages over one event loop per mount and ``--dispatch N`` shards
+  mounts over worker processes — snapshot bytes are identical to a
   serial run either way);
 * ``fsck``     — verify every artefact in a store against its manifest
   and embedded checksums; ``--repair`` quarantines damaged files
@@ -313,7 +313,6 @@ def _run_dispatch(args: argparse.Namespace,
         peer_attempts=args.peer_attempts,
         snapshot_deadline=args.deadline,
         checkpoint_every=args.checkpoint_every,
-        fetch_workers=args.workers,
         io=args.io,
         max_inflight=args.max_inflight,
         breaker_threshold=args.breaker_threshold,
@@ -365,8 +364,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         peer_attempts=args.peer_attempts,
         snapshot_deadline=args.deadline,
         checkpoint_every=args.checkpoint_every,
-        workers=args.workers,
-        target_workers=args.target_workers,
         io=args.io,
         max_inflight=args.max_inflight,
         breaker_threshold=args.breaker_threshold,
@@ -628,24 +625,17 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seconds before an open breaker probes")
     p_camp.add_argument("--checkpoint-every", type=int, default=1,
                         help="persist a checkpoint every N peers")
-    p_camp.add_argument("--workers", type=int, default=1,
-                        help="per-peer fetch workers within one mount "
-                             "(1 = strictly sequential; snapshots are "
-                             "byte-identical either way)")
-    p_camp.add_argument("--target-workers", type=int, default=1,
-                        help="(ixp, family) mounts collected "
-                             "concurrently")
-    p_camp.add_argument("--io", choices=("threads", "async"),
-                        default="threads",
-                        help="per-peer fetch engine: 'threads' fans "
-                             "peers over --workers pool threads, "
-                             "'async' fans route pages over one "
-                             "selectors event loop (snapshots are "
-                             "byte-identical either way)")
+    p_camp.add_argument("--io", choices=("serial", "async"),
+                        default="serial",
+                        help="per-peer fetch engine: 'serial' fetches "
+                             "one peer at a time, 'async' fans route "
+                             "pages over one selectors event loop "
+                             "(snapshots are byte-identical either "
+                             "way)")
     p_camp.add_argument("--max-inflight", type=int, default=32,
                         help="concurrent page fetches (and at most "
                              "that many connections) under "
-                             "--io async; ignored for threads")
+                             "--io async; ignored for serial")
     p_camp.add_argument("--dispatch", type=int, default=0, metavar="N",
                         help="shard units across N worker processes "
                              "under lease-based claims (0 = run "

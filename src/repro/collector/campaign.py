@@ -37,14 +37,17 @@ multi-(IXP, family) scraping with
   (see :mod:`repro.collector.integrity`); a corrupt checkpoint found
   during resume is quarantined by the store and the target restarts
   from scratch instead of dying;
-* **bounded concurrency** — per-peer route fetches fan out over a
-  worker pool (``workers``) and independent (IXP, family) mounts run
-  concurrently (``target_workers``); both default to 1, the exact
-  serial behaviour. Peers are submitted from an ASN-sorted list and
-  reassembled in that order, so snapshots are **byte-identical to a
-  serial run** regardless of worker count; checkpoints still mean
-  "peers collected so far", and a shutdown/deadline park stops
-  submitting, drains the in-flight peers, and checkpoints them too.
+* **one concurrent engine** — peers are fetched either serially
+  through the sync client (``io="serial"``, the default: the paper's
+  sequential single-connection discipline and the reference the
+  determinism suites compare against) or page-parallel on one
+  selectors event loop per mount (``io="async"``, see
+  :mod:`repro.lg.aio`). Targets run one after another; process-level
+  scale is :mod:`repro.collector.dispatch`. Peers are taken from an
+  ASN-sorted list and reassembled in that order, so snapshots are
+  **byte-identical** across engines; checkpoints still mean "peers
+  collected so far", and a shutdown/deadline park stops starting
+  peers, drains the in-flight ones, and checkpoints them too.
 
 Clock and sleep are injectable: tests drive deadlines and breaker
 cooldowns with a fake clock and never block.
@@ -57,13 +60,6 @@ import threading
 import time
 import types
 from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Future,
-    ThreadPoolExecutor,
-    as_completed,
-    wait,
-)
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -81,7 +77,7 @@ from ..lg.client import (
     TransientError,
 )
 from .integrity import IntegrityError
-from .scraper import utc_today, worker_label
+from .scraper import utc_today
 from .snapshot import Snapshot
 from .store import DatasetStore
 
@@ -126,7 +122,7 @@ _METRICS = obs.MetricSet(lambda reg: types.SimpleNamespace(
     peer_seconds=reg.histogram(
         "repro_campaign_peer_seconds",
         "Wall-clock time collecting one peer (all attempts), "
-        "by pool worker", ("ixp", "family", "worker")),
+        "by fetch engine", ("ixp", "family", "engine")),
 ))
 
 #: terminal states of one campaign target.
@@ -161,11 +157,6 @@ class CampaignConfig:
     snapshot_deadline: Optional[float] = None
     #: persist a checkpoint every N collected peers.
     checkpoint_every: int = 1
-    #: per-peer fetch workers within one target (1 = the paper's
-    #: strictly sequential single-connection discipline).
-    workers: int = 1
-    #: (ixp, family) mounts collected concurrently (1 = one at a time).
-    target_workers: int = 1
     #: circuit breaker: consecutive failed calls before opening, and
     #: cooldown before the half-open probe.
     breaker_threshold: int = 3
@@ -176,11 +167,11 @@ class CampaignConfig:
     backoff_base: float = 0.05
     backoff_cap: float = 2.0
     page_retries: int = 1
-    #: fetch engine within one target: "threads" fans whole peers over
-    #: a bounded pool (``workers``); "async" fans individual route
+    #: fetch engine within one target: "serial" fetches one peer at a
+    #: time through the sync client; "async" fans individual route
     #: *pages* onto one selectors event loop (see repro.lg.aio), whose
-    #: concurrency the next two knobs bound.
-    io: str = "threads"
+    #: concurrency ``max_inflight`` bounds.
+    io: str = "serial"
     #: async engine: page fetches in flight at once per target — also
     #: the per-mount connection cap handed to the keep-alive pool.
     max_inflight: int = 32
@@ -204,8 +195,8 @@ class PeerFailure:
 @dataclass
 class _PeerOutcome:
     """What one per-peer fetch produced: routes or a terminal failure,
-    plus how often the mount's breaker refused along the way. Built on
-    a pool thread, folded into the report on the coordinating thread."""
+    plus how often the mount's breaker refused along the way. Folded
+    into the report by :meth:`CollectionCampaign._apply_outcome`."""
 
     routes: List[Route] = field(default_factory=list)
     failure: Optional[PeerFailure] = None
@@ -357,11 +348,10 @@ class CollectionCampaign:
         self._clients: Dict[Tuple[str, int], LookingGlassClient] = {}
         self._aio_clients: Dict[Tuple[str, int],
                                 AsyncLookingGlassClient] = {}
-        self._client_lock = threading.Lock()
-        if config.io not in ("threads", "async"):
+        if config.io not in ("serial", "async"):
             raise ValueError(
                 f"unknown io engine {config.io!r} "
-                f"(expected 'threads' or 'async')")
+                f"(expected 'serial' or 'async')")
         self._shutdown = threading.Event()
         self._dictionary_digests: Dict[str, Optional[str]] = {}
 
@@ -384,38 +374,32 @@ class CollectionCampaign:
 
     def client_for(self, target: CampaignTarget) -> LookingGlassClient:
         """One persistent client per mount (stats accumulate across
-        the campaign; the client is shared by that mount's fetch
-        workers and is thread-safe). Safe to call from concurrent
-        target workers."""
+        the campaign, and the mount's async client shares them)."""
         key = (target.ixp, target.family)
-        with self._client_lock:
-            if key not in self._clients:
-                config = self.config
-                self._clients[key] = LookingGlassClient(
-                    base_url=config.base_url,
-                    ixp=target.ixp,
-                    family=target.family,
-                    dialect=target.dialect,
-                    max_retries=config.max_retries,
-                    backoff_base=config.backoff_base,
-                    backoff_cap=config.backoff_cap,
-                    timeout=config.request_timeout,
-                    page_retries=config.page_retries,
-                    breaker=self.breakers.get(target.ixp, target.family),
-                    sleep=self.sleep,
-                )
-            return self._clients[key]
+        if key not in self._clients:
+            config = self.config
+            self._clients[key] = LookingGlassClient(
+                base_url=config.base_url,
+                ixp=target.ixp,
+                family=target.family,
+                dialect=target.dialect,
+                max_retries=config.max_retries,
+                backoff_base=config.backoff_base,
+                backoff_cap=config.backoff_cap,
+                timeout=config.request_timeout,
+                page_retries=config.page_retries,
+                breaker=self.breakers.get(target.ixp, target.family),
+                sleep=self.sleep,
+            )
+        return self._clients[key]
 
     # -- campaign run ----------------------------------------------------
 
     def run(self, resume: bool = False) -> CampaignReport:
-        """Collect every target; with ``resume=True``, restart from
-        checkpoints and skip snapshots already in the store.
-
-        With ``target_workers > 1`` independent mounts are collected
-        concurrently; ``report.targets`` still lists outcomes in
-        configuration order (targets never started before a shutdown
-        are simply absent, exactly as in a serial park).
+        """Collect every target, one after another; with
+        ``resume=True``, restart from checkpoints and skip snapshots
+        already in the store. Targets never started before a shutdown
+        are absent from ``report.targets``.
 
         With observability enabled, a JSON run report (metrics
         snapshot + traces + the campaign summary) is written through
@@ -423,71 +407,34 @@ class CollectionCampaign:
         """
         captured_on = self.config.captured_on or utc_today()
         report = CampaignReport(captured_on=captured_on, resumed=resume)
-        with obs.span(f"campaign {captured_on}"):
-            if max(1, self.config.target_workers) == 1:
-                outcomes = self._run_targets_serial(captured_on, resume,
-                                                    report)
-            else:
-                outcomes = self._run_targets_pooled(captured_on, resume,
-                                                    report)
-            for outcome in outcomes:
-                if outcome is None:
-                    continue
-                report.targets.append(outcome)
-                if outcome.interrupted:
-                    report.interrupted = True
-                _METRICS().targets.labels(outcome.status).inc()
-                _METRICS().target_seconds.labels().observe(
-                    outcome.elapsed)
+        try:
+            with obs.span(f"campaign {captured_on}"):
+                for target in self.config.targets:
+                    if self._shutdown.is_set():
+                        # park before touching further targets; resume
+                        # collects them later.
+                        report.interrupted = True
+                        break
+                    outcome = self._run_one_target(target, captured_on,
+                                                   resume)
+                    report.targets.append(outcome)
+                    if outcome.interrupted:
+                        report.interrupted = True
+                    _METRICS().targets.labels(outcome.status).inc()
+                    _METRICS().target_seconds.labels().observe(
+                        outcome.elapsed)
+        finally:
+            # the async clients own sockets and a selector each; the
+            # sync clients (and the stats they share) stay readable.
+            for aclient in self._aio_clients.values():
+                aclient.close()
+            self._aio_clients.clear()
         if obs.enabled():
             report.run_report_path = str(self.store.save_run_report(
                 f"campaign-{captured_on}",
                 obs.build_run_report(
                     "campaign", meta=report.to_dict())))
         return report
-
-    def _run_targets_serial(self, captured_on: str, resume: bool,
-                            report: CampaignReport,
-                            ) -> List[Optional[TargetReport]]:
-        outcomes: List[Optional[TargetReport]] = []
-        for target in self.config.targets:
-            if self._shutdown.is_set():
-                # park before touching further targets; resume
-                # collects them later.
-                report.interrupted = True
-                break
-            outcomes.append(self._run_one_target(
-                target, captured_on, resume))
-        return outcomes
-
-    def _run_targets_pooled(self, captured_on: str, resume: bool,
-                            report: CampaignReport,
-                            ) -> List[Optional[TargetReport]]:
-        """All targets over a bounded pool; results in config order.
-
-        A target whose turn comes after a shutdown request is never
-        started (its slot stays None — identical to the serial park);
-        targets already running park themselves via the shared
-        shutdown event.
-        """
-        targets = list(self.config.targets)
-        outcomes: List[Optional[TargetReport]] = [None] * len(targets)
-
-        def collect(target: CampaignTarget) -> Optional[TargetReport]:
-            if self._shutdown.is_set():
-                return None
-            return self._run_one_target(target, captured_on, resume)
-
-        with ThreadPoolExecutor(
-                max_workers=max(1, self.config.target_workers),
-                thread_name_prefix="target") as pool:
-            futures = {pool.submit(collect, target): index
-                       for index, target in enumerate(targets)}
-            for future in as_completed(futures):
-                outcomes[futures[future]] = future.result()
-        if self._shutdown.is_set() and any(o is None for o in outcomes):
-            report.interrupted = True
-        return outcomes
 
     def _run_one_target(self, target: CampaignTarget, captured_on: str,
                         resume: bool) -> TargetReport:
@@ -561,20 +508,15 @@ class CollectionCampaign:
             return report
 
         # Deterministic ASN order: submission and reassembly both walk
-        # this list, so worker count cannot change snapshot content.
+        # this list, so the fetch engine cannot change snapshot content.
         established = sorted(
             (n for n in neighbors if n.established),
             key=lambda n: n.asn)
         pending = [n for n in established if str(n.asn) not in peers]
-        if self.config.io == "async":
-            self._collect_peers_async(client, pending, peers, collected,
-                                      report, target, captured_on, started)
-        elif max(1, self.config.workers) == 1:
-            self._collect_peers_serial(client, pending, peers, collected,
-                                       report, target, captured_on, started)
-        else:
-            self._collect_peers_pooled(client, pending, peers, collected,
-                                       report, target, captured_on, started)
+        collect = (self._collect_peers_async if self.config.io == "async"
+                   else self._collect_peers_serial)
+        collect(client, pending, peers, collected, report, target,
+                captured_on, started)
 
         if report.deadline_hit or report.interrupted:
             self._save_checkpoint(target, captured_on, peers, report)
@@ -604,7 +546,7 @@ class CollectionCampaign:
                               report: TargetReport,
                               target: CampaignTarget, captured_on: str,
                               started: float) -> None:
-        """The ``workers=1`` path: one peer at a time, shutdown and
+        """The ``io="serial"`` path: one peer at a time, shutdown and
         deadline checked between peers."""
         since_checkpoint = 0
         for neighbor in pending:
@@ -625,76 +567,16 @@ class CollectionCampaign:
                                       report)
                 since_checkpoint = 0
 
-    def _collect_peers_pooled(self, client: LookingGlassClient,
-                              pending: Sequence[NeighborSummary],
-                              peers: Dict[str, Dict[str, Any]],
-                              collected: Dict[str, List[Route]],
-                              report: TargetReport,
-                              target: CampaignTarget, captured_on: str,
-                              started: float) -> None:
-        """The ``workers>1`` path: a bounded submission window over the
-        ASN-sorted peer list.
-
-        Only fetches run on pool threads; every report/checkpoint
-        mutation happens here, on the target's coordinating thread, so
-        checkpoint writes stay as crash-safe (and as observable to the
-        chaos harness) as the serial path. A shutdown or deadline stops
-        *submission*; peers already in flight are drained — collected,
-        recorded, and included in the park checkpoint.
-        """
-        queue = deque(pending)
-        inflight: Dict[Future, NeighborSummary] = {}
-        since_checkpoint = 0
-        stopped = False
-        with ThreadPoolExecutor(
-                max_workers=max(1, self.config.workers),
-                thread_name_prefix="peer") as pool:
-            while queue or inflight:
-                if not stopped:
-                    if self._shutdown.is_set():
-                        report.interrupted = True
-                        stopped = True
-                    elif self._deadline_exceeded(started):
-                        report.deadline_hit = True
-                        stopped = True
-                while (not stopped and queue
-                       and len(inflight) < max(1, self.config.workers)):
-                    neighbor = queue.popleft()
-                    report.peers_attempted += 1
-                    inflight[pool.submit(
-                        self._collect_peer, client, neighbor,
-                        target)] = neighbor
-                if stopped:
-                    queue.clear()
-                if not inflight:
-                    continue
-                done, _ = wait(set(inflight),
-                               return_when=FIRST_COMPLETED)
-                for future in done:
-                    neighbor = inflight.pop(future)
-                    if self._apply_outcome(target, report, neighbor,
-                                           future.result(), peers,
-                                           collected):
-                        since_checkpoint += 1
-                if since_checkpoint >= max(1,
-                                           self.config.checkpoint_every):
-                    self._save_checkpoint(target, captured_on, peers,
-                                          report)
-                    since_checkpoint = 0
-
     def _aio_client_for(self, target: CampaignTarget,
                         client: LookingGlassClient,
                         ) -> AsyncLookingGlassClient:
         """One async client (loop + pool) per mount, wrapping the
         mount's sync client so stats and breaker stay shared."""
         key = (target.ixp, target.family)
-        with self._client_lock:
-            if key not in self._aio_clients:
-                self._aio_clients[key] = \
-                    AsyncLookingGlassClient.from_client(
-                        client,
-                        max_inflight=self.config.max_inflight)
-            return self._aio_clients[key]
+        if key not in self._aio_clients:
+            self._aio_clients[key] = AsyncLookingGlassClient.from_client(
+                client, max_inflight=self.config.max_inflight)
+        return self._aio_clients[key]
 
     def _collect_peers_async(self, client: LookingGlassClient,
                              pending: Sequence[NeighborSummary],
@@ -707,11 +589,11 @@ class CollectionCampaign:
         fetch fans onto one selectors event loop, page-parallel under
         the client's ``max_inflight`` bound.
 
-        The coordinating thread drives the loop one bounded turn at a
-        time and folds finished peers between turns — report mutation,
-        checkpoint cadence, and shutdown/deadline parks keep exactly
-        the pooled path's semantics (stop submitting, drain in-flight
-        peers, checkpoint them too).
+        The calling thread drives the loop one bounded turn at a time
+        and folds finished peers between turns, so report mutation and
+        checkpoint cadence match the serial path. A shutdown/deadline
+        park stops submitting, drains the in-flight peers and
+        checkpoints them too.
         """
         aclient = self._aio_client_for(target, client)
         loop = aclient.loop
@@ -783,7 +665,7 @@ class CollectionCampaign:
                     cooldown = (aclient.breaker.seconds_until_probe
                                 if aclient.breaker is not None else 0.0)
                     if attempt < attempts - 1 and cooldown > 0:
-                        # same cushion as the threaded path: sleep past
+                        # same cushion as the serial path: sleep past
                         # the cooldown boundary, not exactly onto it.
                         yield from aio.sleep(cooldown + 1e-3)
                 except TransientError as error:
@@ -799,7 +681,7 @@ class CollectionCampaign:
                 circuit_open_skips=skips)
         finally:
             metrics.inflight_peers.labels(*mount).dec()
-            metrics.peer_seconds.labels(*mount, "aio").observe(
+            metrics.peer_seconds.labels(*mount, "async").observe(
                 time.perf_counter() - fetch_started)
 
     def _apply_outcome(self, target: CampaignTarget,
@@ -808,8 +690,8 @@ class CollectionCampaign:
                        outcome: "_PeerOutcome",
                        peers: Dict[str, Dict[str, Any]],
                        collected: Dict[str, List[Route]]) -> bool:
-        """Fold one peer's outcome into the report and progress map —
-        always on the coordinating thread. True = peer collected."""
+        """Fold one peer's outcome into the report and progress map.
+        True = peer collected."""
         metrics = _METRICS()
         report.circuit_open_skips += outcome.circuit_open_skips
         if outcome.failure is not None:
@@ -836,9 +718,8 @@ class CollectionCampaign:
                       target: CampaignTarget) -> "_PeerOutcome":
         """One peer's routes under the per-peer retry budget.
 
-        Pure fetch: never raises and never touches the report (it may
-        run on a pool thread) — the outcome is folded in by
-        :meth:`_apply_outcome` on the coordinating thread.
+        Pure fetch: never raises and never touches the report — the
+        outcome is folded in by :meth:`_apply_outcome`.
         """
         metrics = _METRICS()
         mount = (target.ixp, str(target.family))
@@ -848,7 +729,7 @@ class CollectionCampaign:
             return self._collect_peer_inner(client, neighbor)
         finally:
             metrics.inflight_peers.labels(*mount).dec()
-            metrics.peer_seconds.labels(*mount, worker_label()).observe(
+            metrics.peer_seconds.labels(*mount, "serial").observe(
                 time.perf_counter() - fetch_started)
 
     def _collect_peer_inner(self, client: LookingGlassClient,
@@ -926,7 +807,7 @@ class CollectionCampaign:
             # resume refuses to merge across a scheme change.
             "dictionary_digest": self._dictionary_digest(target.ixp),
             # ASN-sorted so checkpoint bytes do not depend on fetch
-            # completion order under a worker pool.
+            # completion order under the async engine.
             "peers": {asn: peers[asn]
                       for asn in sorted(peers, key=int)},
             "failures": [f.to_dict() for f in
@@ -955,7 +836,7 @@ class CollectionCampaign:
         in ASN order, membership covers exactly the collected peers
         (a failed peer is evidence lost, not a member observed — it is
         listed in ``meta`` only), and the meta block contains nothing
-        that depends on request interleaving — so a ``workers=8`` run
+        that depends on request interleaving — so an ``io="async"`` run
         writes byte-identical snapshots to a serial one.
         """
         members: List[Member] = []

@@ -47,6 +47,11 @@ serial run produces. The moving pieces:
   to worker processes through the environment — the substrate of the
   ``tests/chaos`` dispatch harness.
 
+Dispatch is the collection's only multi-target scale: each worker
+runs one claimed unit at a time as a single-target
+:class:`~repro.collector.campaign.CollectionCampaign`, fetching its
+peers with the campaign's ``io`` engine (serial or async).
+
 The coordinator spawns workers as subprocesses, restarts unexpected
 exits (bounded), aggregates worker reports into ``repro_dispatch_*``
 metrics, and audits the merged store with fsck. All campaign state
@@ -581,13 +586,12 @@ class DispatchConfig:
     peer_attempts: int = 2
     snapshot_deadline: Optional[float] = None
     checkpoint_every: int = 1
-    fetch_workers: int = 1
-    #: per-peer fetch engine inside each worker (``--io``): "threads"
-    #: fans peers over ``fetch_workers`` pool threads, "async" fans
-    #: route *pages* over one selectors loop per mount.
-    io: str = "threads"
+    #: per-peer fetch engine inside each worker (``--io``): "serial"
+    #: fetches one peer at a time, "async" fans route *pages* over one
+    #: selectors loop per mount.
+    io: str = "serial"
     #: concurrent page-fetch bound of the async engine
-    #: (``--max-inflight``); ignored under ``io="threads"``.
+    #: (``--max-inflight``); ignored under ``io="serial"``.
     max_inflight: int = 32
     breaker_threshold: int = 3
     breaker_reset: float = 5.0
@@ -632,8 +636,7 @@ class DispatchConfig:
                      "steal_backoff_base", "steal_backoff_cap",
                      "poll_interval", "worker_grace", "verify",
                      "peer_attempts", "snapshot_deadline",
-                     "checkpoint_every", "fetch_workers",
-                     "io", "max_inflight",
+                     "checkpoint_every", "io", "max_inflight",
                      "breaker_threshold", "breaker_reset",
                      "max_retries", "request_timeout",
                      "backoff_base", "backoff_cap", "snapshot_codec",
@@ -808,7 +811,6 @@ class DispatchWorker:
             peer_attempts=config.peer_attempts,
             snapshot_deadline=config.snapshot_deadline,
             checkpoint_every=config.checkpoint_every,
-            workers=config.fetch_workers,
             io=config.io,
             max_inflight=config.max_inflight,
             breaker_threshold=config.breaker_threshold,

@@ -14,15 +14,11 @@ members; failed peers appear solely in the report and the snapshot's
 ``meta`` (a degraded snapshot must not over-count the membership the
 RS showed us).
 
-Per-peer fetches can fan out over a bounded worker pool (``workers``;
-default 1 is exactly the serial behaviour) or — with ``io="async"`` —
-over one selectors event loop that fans every peer's individual route
-*pages* concurrently under a ``max_inflight`` bound (see
-:mod:`repro.lg.aio`). Snapshots are deterministic regardless of worker
-count or I/O engine: peers are fetched from a list sorted by ASN and
-reassembled in that same order (pages in page order within a peer), so
-the member list, route list, and on-disk bytes of a ``workers=8`` or
-async snapshot are identical to a serial run's.
+Peers are fetched one at a time, in ASN order, whatever order the LG
+lists them in, so the member list, route list, and on-disk bytes are
+deterministic. Concurrent collection is the campaign's job
+(:class:`~repro.collector.campaign.CollectionCampaign` with
+``io="async"``), which writes byte-identical snapshots.
 
 The default capture date is computed in UTC — a scrape started near
 local midnight must date its snapshot the same way on every machine.
@@ -31,20 +27,15 @@ local midnight must date its snapshot the same way on every machine.
 from __future__ import annotations
 
 import datetime as _dt
-import threading
 import time
 import types
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from .. import obs
 from ..bgp.route import Route
 from ..ixp.dictionary import CommunityDictionary
 from ..ixp.member import Member, MemberRole
-from ..lg import api
-from ..lg.aio import AsyncLookingGlassClient
-from ..lg.api import NeighborSummary
 from ..lg.client import LookingGlassClient, LookingGlassError
 from .snapshot import Snapshot
 
@@ -57,28 +48,11 @@ _METRICS = obs.MetricSet(lambda reg: types.SimpleNamespace(
         "repro_scraper_peers_failed_total",
         "Peers one-shot scrapes lost, by failure class",
         ("ixp", "family", "class")),
-    inflight=reg.gauge(
-        "repro_scraper_inflight_fetches",
-        "Per-peer route fetches currently in flight",
-        ("ixp", "family")),
     fetch=reg.histogram(
         "repro_scraper_peer_fetch_seconds",
-        "Wall-clock time fetching one peer's full route set, "
-        "by pool worker", ("ixp", "family", "worker")),
+        "Wall-clock time fetching one peer's full route set",
+        ("ixp", "family")),
 ))
-
-
-def worker_label() -> str:
-    """Metric label for the current pool worker.
-
-    ``ThreadPoolExecutor`` names its threads ``<prefix>_<index>``; the
-    index is the stable per-pool worker id (bounded by ``workers``, so
-    label cardinality stays small). Outside a pool — the serial path —
-    everything is worker ``0``.
-    """
-    name = threading.current_thread().name
-    _, _, index = name.rpartition("_")
-    return index if index.isdigit() else "0"
 
 
 def utc_today() -> str:
@@ -111,41 +85,11 @@ class ScrapeReport:
 
 
 class SnapshotScraper:
-    """Collects one snapshot from a Looking Glass.
+    """Collects one snapshot from a Looking Glass, one peer at a time:
+    the paper's strictly sequential single-connection discipline."""
 
-    ``workers`` bounds the per-peer fetch pool; 1 (the default) keeps
-    the paper's strictly sequential single-connection discipline.
-    ``io="async"`` switches to the event-driven engine instead: all
-    peers' paginated fetches share one selectors loop, bounded by
-    ``max_inflight`` page fetches (and as many connections at most).
-    """
-
-    def __init__(self, client: LookingGlassClient,
-                 workers: int = 1, io: str = "threads",
-                 max_inflight: int = 32,
-                 page_size: Optional[int] = None) -> None:
-        if io not in ("threads", "async"):
-            raise ValueError(f"unknown io engine {io!r} "
-                             f"(expected 'threads' or 'async')")
+    def __init__(self, client: LookingGlassClient) -> None:
         self.client = client
-        self.workers = max(1, int(workers))
-        self.io = io
-        self.max_inflight = max(1, int(max_inflight))
-        #: None = leave the client's own default page size alone (so
-        #: minimal stub clients without a page_size kwarg keep working).
-        self.page_size = None if page_size is None else int(page_size)
-        self._aio_client: Optional[AsyncLookingGlassClient] = None
-
-    def _async_client(self) -> AsyncLookingGlassClient:
-        """The mount's async twin (lazily built; shares stats and
-        breaker with the sync client)."""
-        if self._aio_client is None:
-            if isinstance(self.client, AsyncLookingGlassClient):
-                self._aio_client = self.client
-            else:
-                self._aio_client = AsyncLookingGlassClient.from_client(
-                    self.client, max_inflight=self.max_inflight)
-        return self._aio_client
 
     def fetch_dictionary(
             self,
@@ -157,53 +101,6 @@ class SnapshotScraper:
             return rs_dictionary
         return CommunityDictionary.union(
             rs_dictionary.ixp_name, rs_dictionary, website_dictionary)
-
-    # -- per-peer fetch ---------------------------------------------------
-
-    def _fetch_peer(self, neighbor: NeighborSummary,
-                    ) -> Union[List[Route], LookingGlassError]:
-        """One peer's full route set, or the typed error that lost it.
-
-        Never raises: pool futures must not carry exceptions, so the
-        assembly loop can stay a straight walk over the ASN order.
-        """
-        metrics = _METRICS()
-        mount = (self.client.ixp, str(self.client.family))
-        metrics.inflight.labels(*mount).inc()
-        started = time.perf_counter()
-        try:
-            if self.page_size is None:
-                return list(self.client.routes(neighbor.asn))
-            return list(self.client.routes(neighbor.asn,
-                                           page_size=self.page_size))
-        except LookingGlassError as error:
-            return error
-        finally:
-            metrics.inflight.labels(*mount).dec()
-            metrics.fetch.labels(*mount, worker_label()).observe(
-                time.perf_counter() - started)
-
-    def _fetch_all(self, established: List[NeighborSummary],
-                   ) -> Dict[int, Union[List[Route], LookingGlassError]]:
-        """Fetch every established peer's routes — serially, fanned
-        out over the worker pool, or fanned page-by-page onto the
-        async engine's loop. Results are keyed by ASN; ordering is
-        reimposed by the caller, so completion order is irrelevant."""
-        if self.io == "async":
-            return self._async_client().fetch_peers(
-                established,
-                page_size=self.page_size or api.DEFAULT_PAGE_SIZE)
-        if self.workers == 1 or len(established) <= 1:
-            return {neighbor.asn: self._fetch_peer(neighbor)
-                    for neighbor in established}
-        with ThreadPoolExecutor(
-                max_workers=self.workers,
-                thread_name_prefix="scraper") as pool:
-            futures = {
-                neighbor.asn: pool.submit(self._fetch_peer, neighbor)
-                for neighbor in established}
-            return {asn: future.result()
-                    for asn, future in futures.items()}
 
     # -- snapshot assembly ------------------------------------------------
 
@@ -218,12 +115,11 @@ class SnapshotScraper:
             # must not abort a multi-LG collection run.
             report.error = str(error)
             return report
-        # Deterministic ASN order: the assembly below (and so the
-        # snapshot bytes) is independent of fetch completion order.
+        # Deterministic ASN order: the snapshot bytes do not depend on
+        # the order the LG lists its peers in.
         established = sorted(
             (n for n in neighbors if n.established),
             key=lambda n: n.asn)
-        outcomes = self._fetch_all(established)
 
         metrics = _METRICS()
         mount = (self.client.ixp, str(self.client.family))
@@ -232,14 +128,19 @@ class SnapshotScraper:
         filtered_count = 0
         for neighbor in established:
             report.peers_attempted += 1
-            outcome = outcomes[neighbor.asn]
-            if isinstance(outcome, LookingGlassError):
+            started = time.perf_counter()
+            try:
+                peer_routes = list(self.client.routes(neighbor.asn))
+            except LookingGlassError as error:
+                # a lost peer is recorded, never fatal to the snapshot
                 report.peers_failed.append(neighbor.asn)
                 report.failure_classes[neighbor.asn] = \
-                    outcome.failure_class
-                metrics.failed.labels(
-                    *mount, outcome.failure_class).inc()
+                    error.failure_class
+                metrics.failed.labels(*mount, error.failure_class).inc()
                 continue
+            finally:
+                metrics.fetch.labels(*mount).observe(
+                    time.perf_counter() - started)
             report.peers_collected += 1
             metrics.collected.labels(*mount).inc()
             # membership is an observation: only a peer whose routes we
@@ -251,7 +152,7 @@ class SnapshotScraper:
                 at_rs_v4=self.client.family == 4,
                 at_rs_v6=self.client.family == 6,
             ))
-            routes.extend(outcome)
+            routes.extend(peer_routes)
             filtered_count += neighbor.routes_filtered
         report.snapshot = Snapshot(
             ixp=self.client.ixp,

@@ -21,7 +21,7 @@ from .client import (
     TransientError,
     parse_retry_after,
 )
-from .ratelimit import FaultSchedule, InstabilityInjector, TokenBucket
+from .ratelimit import FaultSchedule, InstabilityInjector
 from .server import LookingGlassServer
 
 __all__ = [
@@ -32,7 +32,7 @@ __all__ = [
     "FAILURE_CLASSES", "FAILURE_RATE_LIMITED", "FAILURE_LG_OUTAGE",
     "FAILURE_TIMEOUT", "FAILURE_MALFORMED",
     "CircuitBreaker", "BreakerRegistry",
-    "ClientStats", "NeighborSummary", "TokenBucket",
+    "ClientStats", "NeighborSummary",
     "InstabilityInjector", "FaultSchedule",
     "DEFAULT_PAGE_SIZE", "MAX_PAGE_SIZE",
     "DIALECT_ALICE", "DIALECT_BIRDSEYE", "DIALECTS",

@@ -8,12 +8,11 @@ five-class failure taxonomy, the same :class:`ClientStats` buckets and
 ``repro_lg_client_*`` metrics — but replaces one-thread-per-waiting-
 request with one selectors event loop per mount.
 
-What that buys is *page-level* fan-out: the thread-pool engine's unit
-of concurrency is a whole peer (pages fetched serially inside
-``client.routes``), so its practical in-flight request count tops out
-at the number of peers. This client fetches page 1, learns the page
-count, and fans pages 2..N onto the loop alongside every other peer's
-pages — hundreds of concurrent slow fetches per process at near-zero
+What that buys is *page-level* fan-out: the sync client fetches a
+peer's pages serially inside ``client.routes``, so any engine whose
+unit of concurrency is a whole peer tops out at one request in flight
+per peer. This client fetches page 1, learns the page count, and fans
+pages 2..N onto the loop alongside every other peer's pages — hundreds of concurrent slow fetches per process at near-zero
 idle cost, bounded by two explicit limits:
 
 * ``max_inflight`` — a semaphore over page fetches (one slot covers a
@@ -29,8 +28,8 @@ Loop- and pool-level health is metered under ``repro_lg_aio_*``
 fetches) next to the shared ``repro_lg_client_*`` request metrics.
 
 Not thread-safe: one thread drives a client's loop at a time. The
-campaign engine keeps one async client per (ixp, family) mount, driven
-by that target's coordinating thread — which also means the shared
+campaign keeps one async client per (ixp, family) mount, driven by the
+thread running the campaign and closed when its run ends; the shared
 ``ClientStats``/breaker (borrowed from the sync client via
 :meth:`from_client`) keep their locked discipline intact.
 """
@@ -367,7 +366,7 @@ class AsyncLookingGlassClient:
                                                 LookingGlassError]]:
         """Outcome form of :meth:`peer_routes_coro` — returns the typed
         error instead of raising, so a fan-out over many peers never
-        aborts siblings (the scraper's ``_fetch_peer`` contract)."""
+        aborts siblings."""
         try:
             return (yield from self.peer_routes_coro(asn, filtered,
                                                      page_size))

@@ -1,10 +1,11 @@
-"""Rate limiting and fault injection for the Looking Glass server.
+"""Fault injection for the Looking Glass server.
 
 The paper's collection "was subject to communication failures because of
 LG instability and/or query rate limits" (§3, citing Periscope). The
-simulated LG reproduces both: a token bucket that returns HTTP 429 when
-clients query too fast, and a configurable instability injector that
-fails a fraction of requests with HTTP 503.
+simulated LG reproduces both: the shared
+:class:`repro.net.ratelimit.TokenBucket` answers HTTP 429 when clients
+query too fast, and this module's instability injector fails a
+fraction of requests with HTTP 503.
 
 On top of those two probabilistic modes, :class:`FaultSchedule` injects
 the *deterministic* fault shapes a resilient campaign must survive:
@@ -23,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
 from .. import obs
-from ..net.ratelimit import MIN_RETRY_AFTER, TokenBucket as _SharedTokenBucket
 from ..utils import stable_fraction
 
 #: fault kinds a :class:`FaultSchedule` can inject.
@@ -32,9 +32,6 @@ FAULT_SLOW = "slow"
 FAULT_MALFORMED = "malformed"
 
 _METRICS = obs.MetricSet(lambda reg: types.SimpleNamespace(
-    ratelimited=reg.counter(
-        "repro_lg_server_ratelimited_total",
-        "Requests the simulated LG answered 429 (token bucket empty)"),
     instability=reg.counter(
         "repro_lg_server_instability_total",
         "Requests failed 503 by the probabilistic instability "
@@ -43,20 +40,6 @@ _METRICS = obs.MetricSet(lambda reg: types.SimpleNamespace(
         "repro_lg_server_faults_total",
         "Scheduled faults injected by kind", ("kind",)),
 ))
-
-
-class TokenBucket(_SharedTokenBucket):
-    """The shared :class:`repro.net.ratelimit.TokenBucket`, counting
-    rejections into the LG's own metric family. ``retry_after`` comes
-    from the shared class and is always a positive sleep (never zero,
-    even when refill races a token back before the 429 is rendered)."""
-
-    def try_acquire(self, tokens: float = 1.0) -> bool:
-        """Take *tokens* if available; never blocks."""
-        acquired = super().try_acquire(tokens)
-        if not acquired:
-            _METRICS().ratelimited.labels().inc()
-        return acquired
 
 
 @dataclass

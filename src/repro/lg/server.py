@@ -36,6 +36,7 @@ from typing import Dict, Iterator, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from .. import obs
+from ..net.ratelimit import TokenBucket
 from ..routeserver.server import RouteServer
 from . import api, dialects
 from .ratelimit import (
@@ -44,7 +45,6 @@ from .ratelimit import (
     FAULT_SLOW,
     FaultSchedule,
     InstabilityInjector,
-    TokenBucket,
 )
 
 _ROUTE_PATTERN = re.compile(
@@ -70,6 +70,9 @@ _METRICS = obs.MetricSet(lambda reg: types.SimpleNamespace(
         "repro_lg_server_requests_total",
         "Requests answered by the simulated LG, by HTTP status",
         ("status",)),
+    ratelimited=reg.counter(
+        "repro_lg_server_ratelimited_total",
+        "Requests the simulated LG answered 429 (token bucket empty)"),
     cap_rejections=reg.counter(
         "repro_lg_server_cap_rejections_total",
         "Connections refused by the per-mount connection cap",
@@ -170,6 +173,7 @@ class LookingGlassServer:
         if self.injector.should_fail():
             return 503, api.error_payload("looking glass unstable", 503)
         if not self.bucket.try_acquire():
+            _METRICS().ratelimited.labels().inc()
             return 429, api.error_payload("query rate limit exceeded", 429)
         parsed = urlparse(path)
         match = _ROUTE_PATTERN.match(parsed.path)

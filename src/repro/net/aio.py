@@ -1,10 +1,10 @@
 """``repro.net.aio`` — a stdlib-only event-driven I/O layer.
 
 The collection path is dominated by waiting on Looking Glass HTTP
-round-trips. The thread-pool engine (PR 4) tops out at tens of
-in-flight requests per process — every waiting request pins a thread.
-This module provides the substrate for pushing per-process concurrency
-past that: a :class:`selectors.DefaultSelector` event loop driving
+round-trips. With one thread per waiting request, a process tops out
+at tens of in-flight requests. This module provides the substrate for
+pushing per-process concurrency past that: a
+:class:`selectors.DefaultSelector` event loop driving
 generator-based coroutines over non-blocking sockets, with
 
 * a :class:`TimerWheel` ordering timeouts and backoff sleeps,
@@ -19,9 +19,8 @@ No ``asyncio``: coroutines are plain generators that ``yield``
 instruction objects (sleep, wait-for-I/O, park) and compose with
 ``yield from``. That keeps the loop ~300 lines, trivially inspectable,
 and — crucially — lets a *synchronous* coordinator drive it one turn
-at a time (:meth:`EventLoop.run_once`), exactly how the campaign
-engine folds completions and writes checkpoints between
-``wait(FIRST_COMPLETED)`` passes on the thread-pool path.
+at a time (:meth:`EventLoop.run_once`), so the campaign folds
+completed peers and writes checkpoints between turns.
 
 This module is observability-free by design: the loop and pool expose
 plain observer hooks (``on_turn``, ``on_open``/``on_reuse``/
@@ -260,7 +259,7 @@ class EventLoop:
     """A single-threaded selectors loop.
 
     Not thread-safe: exactly one thread drives it at a time (the
-    campaign's per-target coordinating thread). ``on_turn`` is called
+    thread running the campaign). ``on_turn`` is called
     with the duration of every :meth:`run_once` turn.
     """
 

@@ -1,10 +1,9 @@
 """Token-bucket rate limiting shared by both HTTP servers.
 
-The class used to live in :mod:`repro.lg.ratelimit` (the simulated
-Looking Glass grew it first, to reproduce the paper's §3 "query rate
-limits"); the query API needs the identical discipline, so the neutral
-mechanics moved here. The LG keeps a thin subclass that counts
-rejections into its own metric family.
+The simulated Looking Glass uses it to reproduce the paper's §3
+"query rate limits", and the query API needs the identical discipline.
+Each server counts its own rejections at its ``try_acquire`` call
+site.
 
 ``retry_after`` fix: the original property computed
 ``max(0, 1 - tokens) / rate`` from the token count *at read time*.

@@ -1,19 +1,19 @@
-"""Concurrency determinism chaos: worker pools must not change WHAT a
-campaign collects, only how fast.
+"""Concurrency determinism chaos: the async engine must not change
+WHAT a campaign collects, only how fast.
 
 Three contracts, each driven over real HTTP against the simulated LG:
 
 1. **byte determinism under faults** — the same world and the same
-   :class:`FaultSchedule` collected serially, with ``workers=8``, and
-   with the ``io="async"`` event-loop engine must produce byte-identical
+   :class:`FaultSchedule` collected serially and with the
+   ``io="async"`` event-loop engine must produce byte-identical
    snapshot files, equivalent reports, and identical analysis output
    (``Study.table1``);
-2. **crash/resume under concurrency** — a pooled campaign killed at a
+2. **crash/resume under concurrency** — an async campaign killed at a
    checkpoint boundary must leave a repairable store and a resumable
-   checkpoint, and ``--resume`` with a pool must converge to the
-   uninterrupted control snapshot;
+   checkpoint, and an async ``--resume`` must converge to the
+   uninterrupted serial control snapshot;
 3. **fault survival under concurrency** — an outage window plus
-   malformed payloads against a pooled campaign must end in a defined
+   malformed payloads against an async campaign must end in a defined
    terminal state with the failure taxonomy fully reported, exactly as
    the serial engine does.
 
@@ -45,7 +45,7 @@ from repro.lg.client import FAILURE_CLASSES
 DATE = "2021-10-04"
 
 
-def make_campaign(store, url, workers=1, **kwargs):
+def make_campaign(store, url, **kwargs):
     """A real-clock campaign tuned so fault recovery is fast: tiny
     backoff, a breaker that re-probes within 50ms, and a generous
     per-peer budget so transient fault windows cannot permanently
@@ -57,7 +57,6 @@ def make_campaign(store, url, workers=1, **kwargs):
         targets=[CampaignTarget(ixp="linx", family=4)],
         captured_on=DATE,
         checkpoint_every=4,
-        workers=workers,
         backoff_base=0.001,
         backoff_cap=0.01,
         **kwargs)
@@ -72,7 +71,7 @@ def start_server(route_server, faults=None, port=0, **kwargs):
 
 
 def report_essence(report):
-    """The report fields that must be identical across worker counts —
+    """The report fields that must be identical across engines —
     everything except wall-clock timings."""
     payload = report.to_dict()
     for target in payload["targets"]:
@@ -81,29 +80,24 @@ def report_essence(report):
     return payload
 
 
-#: fetch-engine grid: label → extra campaign kwargs. Serial threads is
-#: the control every other engine must be byte-equal to.
-ENGINES = {
-    "threads-8": {"workers": 8},
-    "async": {"io": "async", "max_inflight": 8},
-}
+#: the concurrent engine; the serial default is the control it must be
+#: byte-equal to.
+ASYNC = {"io": "async", "max_inflight": 8}
 
 
 class TestByteDeterminism:
-    @pytest.mark.parametrize("engine", sorted(ENGINES))
     def test_engines_write_identical_bytes_under_faults(
-            self, lg_world, tmp_path, engine):
-        """Same seed, same FaultSchedule → the concurrent engine's
-        snapshot file, report, and analysis tables equal the serial
-        run's. Faults land on *different* requests per engine (request
-        order differs), but every malformed payload is retried to
-        recovery, so all engines converge to the same complete bytes."""
+            self, lg_world, tmp_path):
+        """Same seed, same FaultSchedule → the async engine's snapshot
+        file, report, and analysis tables equal the serial run's.
+        Faults land on *different* requests per engine (request order
+        differs), but every malformed payload is retried to recovery,
+        so both engines converge to the same complete bytes."""
         _generator, route_server = lg_world("linx")
         stores = {}
         reports = {}
         port = 0
-        for label, kwargs in (("serial", {"workers": 1}),
-                              (engine, ENGINES[engine])):
+        for label, kwargs in (("serial", {}), ("async", ASYNC)):
             # a fresh schedule per run: the fault counter is part of
             # the "same inputs" contract
             faults = FaultSchedule(malformed_every=7)
@@ -117,34 +111,34 @@ class TestByteDeterminism:
             port = server.port
             stores[label] = store
 
-        assert reports["serial"].complete and reports[engine].complete
-        assert report_essence(reports[engine]) \
+        assert reports["serial"].complete and reports["async"].complete
+        assert report_essence(reports["async"]) \
             == report_essence(reports["serial"])
 
         serial_bytes = stores["serial"]._snapshot_path(
             "linx", 4, DATE).read_bytes()
-        engine_bytes = stores[engine]._snapshot_path(
+        async_bytes = stores["async"]._snapshot_path(
             "linx", 4, DATE).read_bytes()
-        assert engine_bytes == serial_bytes
+        assert async_bytes == serial_bytes
 
         tables = {
             label: Study.from_store(stores[label], ixps=("linx",),
                                     families=(4,)).table1()
-            for label in ("serial", engine)}
-        assert tables[engine] == tables["serial"]
+            for label in ("serial", "async")}
+        assert tables["async"] == tables["serial"]
 
 
 class TestConcurrentCrashSweep:
-    def test_pooled_campaign_crash_at_checkpoint_then_resume(
+    def test_async_campaign_crash_at_checkpoint_then_resume(
             self, lg_world, tmp_path):
-        """Kill a ``workers=4`` campaign at successive checkpoint
-        boundaries; every resume (also pooled) must converge to the
-        uninterrupted control."""
+        """Kill an ``io="async"`` campaign at successive checkpoint
+        boundaries; every resume (also async) must converge to the
+        uninterrupted serial control."""
         _generator, route_server = lg_world("linx")
         server = start_server(route_server)
         with server.serve() as url:
             control_store = DatasetStore(tmp_path / "control")
-            control = make_campaign(control_store, url, workers=4).run()
+            control = make_campaign(control_store, url).run()
             assert control.complete
             control_snapshot = control_store.load_snapshot(
                 "linx", 4, DATE)
@@ -158,14 +152,14 @@ class TestConcurrentCrashSweep:
                         label="checkpoint:temp",
                         occurrence=occurrence))
                 with pytest.raises(SimulatedCrash):
-                    make_campaign(store, url, workers=4).run()
+                    make_campaign(store, url, **ASYNC).run()
                 store.crash_schedule = None
 
                 fsck_store(store, repair=True)
                 assert fsck_store(store).clean, occurrence
 
                 resumed = make_campaign(store, url,
-                                        workers=4).run(resume=True)
+                                        **ASYNC).run(resume=True)
                 assert resumed.complete, occurrence
                 snapshot = store.load_snapshot("linx", 4, DATE)
                 assert snapshot.summary() == control_snapshot.summary()
@@ -175,14 +169,13 @@ class TestConcurrentCrashSweep:
 
 
 class TestConcurrentFaultSurvival:
-    @pytest.mark.parametrize("engine", sorted(ENGINES))
     def test_concurrent_campaign_survives_outage_and_malformed(
-            self, lg_world, tmp_path, engine):
+            self, lg_world, tmp_path):
         """An outage window long enough to trip the breaker, plus
-        periodic malformed payloads, against a concurrent engine
-        sharing one client/breaker: the run must end in a defined state
-        with the taxonomy fully reported — never an unhandled
-        exception."""
+        periodic malformed payloads, against the async engine sharing
+        one client/breaker across page fetches: the run must end in a
+        defined state with the taxonomy fully reported — never an
+        unhandled exception."""
         _generator, route_server = lg_world("linx")
         faults = FaultSchedule(outage_windows=[(5, 13)],
                                malformed_every=17)
@@ -193,7 +186,7 @@ class TestConcurrentFaultSurvival:
             report = make_campaign(store, url,
                                    max_retries=1,
                                    breaker_threshold=2,
-                                   **ENGINES[engine]).run()
+                                   **ASYNC).run()
         target = report.targets[0]
         assert target.status in (STATUS_COMPLETE, STATUS_DEGRADED,
                                  STATUS_INCOMPLETE, STATUS_FAILED)

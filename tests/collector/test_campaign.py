@@ -358,66 +358,64 @@ class TestGracefulShutdown:
 
 
 class TestConcurrentCollection:
-    """The bounded-worker engine must change wall-clock behaviour only:
+    """The async engine must change wall-clock behaviour only:
     snapshots, checkpoints, and reports stay exactly what a serial run
     produces."""
+
+    ASYNC = {"io": "async", "max_inflight": 8}
 
     @staticmethod
     def snapshot_bytes(store, ixp="linx"):
         return store._snapshot_path(ixp, 4, DATE).read_bytes()
 
-    def test_worker_pool_writes_byte_identical_snapshot(
-            self, mounts, tmp_path):
-        """The acceptance criterion: a ``workers=8`` run writes the
+    def test_async_writes_byte_identical_snapshot(self, mounts, tmp_path):
+        """The acceptance criterion: an ``io="async"`` run writes the
         same bytes to disk as a serial one."""
         server = start_server(mounts)
         serial_store = DatasetStore(tmp_path / "serial")
-        pooled_store = DatasetStore(tmp_path / "pooled")
+        async_store = DatasetStore(tmp_path / "async")
         with server.serve() as url:
             serial = make_campaign(serial_store, url).run()
-            pooled = make_campaign(pooled_store, url, workers=8).run()
-        assert serial.complete and pooled.complete
-        assert self.snapshot_bytes(pooled_store) \
+            fanned = make_campaign(async_store, url, **self.ASYNC).run()
+        assert serial.complete and fanned.complete
+        assert self.snapshot_bytes(async_store) \
             == self.snapshot_bytes(serial_store)
-        s, p = serial.targets[0], pooled.targets[0]
-        assert (p.peers_attempted, p.peers_collected, p.failures) \
+        s, a = serial.targets[0], fanned.targets[0]
+        assert (a.peers_attempted, a.peers_collected, a.failures) \
             == (s.peers_attempted, s.peers_collected, s.failures)
-        assert not pooled_store.has_checkpoint("linx", 4, DATE)
+        assert not async_store.has_checkpoint("linx", 4, DATE)
 
-    def test_target_pool_collects_all_mounts_in_config_order(
+    def test_async_collects_all_mounts_in_config_order(
             self, mounts, tmp_path):
         server = start_server(mounts)
         serial_store = DatasetStore(tmp_path / "serial")
-        pooled_store = DatasetStore(tmp_path / "pooled")
+        async_store = DatasetStore(tmp_path / "async")
         with server.serve() as url:
             serial = make_campaign(serial_store, url,
                                    targets=("linx", "bcix")).run()
-            pooled = make_campaign(pooled_store, url,
+            fanned = make_campaign(async_store, url,
                                    targets=("linx", "bcix"),
-                                   workers=4, target_workers=2).run()
-        assert serial.complete and pooled.complete
-        # outcomes stay in configuration order regardless of which
-        # mount finished first
-        assert [t.ixp for t in pooled.targets] == ["linx", "bcix"]
+                                   **self.ASYNC).run()
+        assert serial.complete and fanned.complete
+        assert [t.ixp for t in fanned.targets] == ["linx", "bcix"]
         for ixp in ("linx", "bcix"):
-            assert self.snapshot_bytes(pooled_store, ixp) \
+            assert self.snapshot_bytes(async_store, ixp) \
                 == self.snapshot_bytes(serial_store, ixp)
 
     def test_shutdown_drains_inflight_then_resume_completes(
             self, mounts, tmp_path):
-        """A shutdown mid-pool stops submission, drains the peers
-        already in flight into the park checkpoint, and the resumed
-        run converges to the uninterrupted snapshot."""
+        """A shutdown mid-run stops submission, drains the peers
+        already in flight on the loop into the park checkpoint, and
+        the resumed run converges to the uninterrupted snapshot."""
         server = start_server(mounts)
         store = DatasetStore(tmp_path / "ds")
         control_store = DatasetStore(tmp_path / "control")
         with server.serve() as url:
-            control = make_campaign(control_store, url,
-                                    workers=4).run()
+            control = make_campaign(control_store, url).run()
             assert control.complete
 
-            campaign = make_campaign(store, url, workers=4,
-                                     checkpoint_every=1)
+            campaign = make_campaign(store, url, checkpoint_every=1,
+                                     **self.ASYNC)
             original = store.save_checkpoint
             checkpoints = {"count": 0}
 
@@ -441,7 +439,7 @@ class TestConcurrentCollection:
             assert store.has_checkpoint("linx", 4, DATE)
             assert not store.has_snapshot("linx", 4, DATE)
 
-            resumed = make_campaign(store, url, workers=4)
+            resumed = make_campaign(store, url, **self.ASYNC)
             final = resumed.run(resume=True)
         assert final.complete
         assert final.targets[0].peers_resumed == target.peers_collected
@@ -451,19 +449,56 @@ class TestConcurrentCollection:
         assert store.load_snapshot("linx", 4, DATE).summary() \
             == control_store.load_snapshot("linx", 4, DATE).summary()
 
-    def test_cli_accepts_worker_flags(self, mounts, tmp_path, capsys):
+    def test_async_client_closed_after_run(self, mounts, tmp_path,
+                                           monkeypatch):
+        """An async campaign releases its sockets and selectors when
+        ``run`` returns: no idle pooled connection is left open and
+        nothing warns about an unclosed socket at collection."""
+        import gc
+        import warnings
+
+        from repro.net import aio
+
+        pools = []
+        original_init = aio.ConnectionPool.__init__
+
+        def recording_init(pool, *args, **kwargs):
+            original_init(pool, *args, **kwargs)
+            pools.append(pool)
+
+        monkeypatch.setattr(aio.ConnectionPool, "__init__", recording_init)
+        server = start_server(mounts)
+        with server.serve() as url, \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            campaign = make_campaign(DatasetStore(tmp_path / "ds"), url,
+                                     targets=("linx", "bcix"), **self.ASYNC)
+            assert campaign.run().complete
+            assert len(pools) == 2 and all(p.opened for p in pools)
+            assert [p.open_connections() for p in pools] == [0, 0]
+            del campaign
+            pools.clear()
+            gc.collect()
+        leaked = [w for w in caught
+                  if issubclass(w.category, ResourceWarning)]
+        assert not leaked, [str(w.message) for w in leaked]
+
+    def test_cli_accepts_io_flag(self, mounts, tmp_path, capsys):
         from repro.cli import main
 
         server = start_server(mounts)
-        root = str(tmp_path / "ds")
         with server.serve() as url:
-            assert main(["campaign", "--url", url, "--store", root,
-                         "--ixps", "linx", "--families", "4",
-                         "--date", DATE, "--checkpoint-every", "8",
-                         "--workers", "8", "--target-workers", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "complete" in out
-        assert DatasetStore(root).has_snapshot("linx", 4, DATE)
+            for engine in ("serial", "async"):
+                root = str(tmp_path / engine)
+                assert main(["campaign", "--url", url, "--store", root,
+                             "--ixps", "linx", "--families", "4",
+                             "--date", DATE, "--checkpoint-every", "8",
+                             "--io", engine, "--max-inflight", "8"]) == 0
+                assert DatasetStore(root).has_snapshot("linx", 4, DATE)
+        assert "complete" in capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            main(["campaign", "--url", url, "--store", root,
+                  "--io", "threads"])
 
 
 class TestCampaignCli:

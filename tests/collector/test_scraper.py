@@ -121,45 +121,40 @@ class TestCollect:
         assert "summary endpoint down" in report.error
 
 
-class TestConcurrentCollect:
-    def make_world(self, peers=12, failing=()):
-        """Many peers, deliberately presented in reverse ASN order so
+class TestAsnOrder:
+    def make_world(self, peers=12, failing=(), reverse=True):
+        """Many peers, by default presented in reverse ASN order so
         ordering guarantees are actually exercised."""
         asns = [60000 + i for i in range(peers)]
-        neighbors = [neighbor(asn) for asn in reversed(asns)]
+        listed = reversed(asns) if reverse else asns
+        neighbors = [neighbor(asn) for asn in listed]
         routes = {asn: [make_route(f"20.{i}.0.0/16", asn)]
                   for i, asn in enumerate(asns)}
         return StubClient(neighbors, routes, failing=failing)
 
-    def test_worker_pool_matches_serial_snapshot(self):
-        serial = SnapshotScraper(self.make_world(),
-                                 workers=1).collect("2021-10-04")
-        pooled = SnapshotScraper(self.make_world(),
-                                 workers=4).collect("2021-10-04")
-        assert serial.snapshot.to_dict() == pooled.snapshot.to_dict()
-        assert pooled.peers_collected == serial.peers_collected == 12
+    def test_snapshot_independent_of_listing_order(self):
+        listed_reversed = SnapshotScraper(
+            self.make_world()).collect("2021-10-04")
+        listed_sorted = SnapshotScraper(
+            self.make_world(reverse=False)).collect("2021-10-04")
+        assert listed_reversed.snapshot.to_dict() \
+            == listed_sorted.snapshot.to_dict()
+        assert listed_reversed.peers_collected == 12
 
     def test_members_and_routes_are_asn_sorted(self):
-        report = SnapshotScraper(self.make_world(),
-                                 workers=4).collect("2021-10-04")
+        report = SnapshotScraper(self.make_world()).collect("2021-10-04")
         members = [m.asn for m in report.snapshot.members]
         assert members == sorted(members)
         peers_in_route_order = [r.peer_asn
                                 for r in report.snapshot.routes]
         assert peers_in_route_order == sorted(peers_in_route_order)
 
-    def test_failures_deterministic_under_pool(self):
-        failing = {60003, 60007}
-        serial = SnapshotScraper(
-            self.make_world(failing=failing), workers=1
-        ).collect("2021-10-04")
-        pooled = SnapshotScraper(
-            self.make_world(failing=failing), workers=8
-        ).collect("2021-10-04")
-        assert pooled.peers_failed == serial.peers_failed \
-            == [60003, 60007]
-        assert pooled.snapshot.to_dict() == serial.snapshot.to_dict()
-        assert pooled.snapshot.member_count == 10
+    def test_failures_recorded_in_asn_order(self):
+        report = SnapshotScraper(
+            self.make_world(failing={60007, 60003})).collect("2021-10-04")
+        assert report.peers_failed == [60003, 60007]
+        assert report.snapshot.meta["peers_failed"] == [60003, 60007]
+        assert report.snapshot.member_count == 10
 
 
 class TestDictionary:

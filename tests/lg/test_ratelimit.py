@@ -1,74 +1,36 @@
-"""Tests for the LG token bucket, instability injector, and the
+"""Tests for the LG's rate limiting, instability injector, and the
 deterministic fault schedule."""
 
-import pytest
-
+from repro import obs
+from repro.lg import LookingGlassServer
 from repro.lg.ratelimit import (
     FAULT_MALFORMED,
     FAULT_OUTAGE,
     FAULT_SLOW,
     FaultSchedule,
     InstabilityInjector,
-    TokenBucket,
 )
 
 
 class TestTokenBucket:
-    def test_burst_allowed_then_blocked(self):
-        bucket = TokenBucket(rate_per_second=0.0001, burst=3)
-        assert bucket.try_acquire()
-        assert bucket.try_acquire()
-        assert bucket.try_acquire()
-        assert not bucket.try_acquire()
+    """The LG server's use of the shared repro.net token bucket; the
+    bucket mechanics are covered in tests/net/test_ratelimit.py."""
 
-    def test_refill_over_time(self, monkeypatch):
-        # the bucket mechanics live in the shared repro.net module now;
-        # the clock to fake is the one that module reads.
-        import repro.net.ratelimit as rl
-        clock = [0.0]
-        monkeypatch.setattr(rl.time, "monotonic", lambda: clock[0])
-        bucket = TokenBucket(rate_per_second=10.0, burst=1)
-        assert bucket.try_acquire()
-        assert not bucket.try_acquire()
-        clock[0] += 0.2  # 2 tokens accrue, capped at capacity 1
-        assert bucket.try_acquire()
-        assert not bucket.try_acquire()
-
-    def test_capacity_cap(self, monkeypatch):
-        import repro.net.ratelimit as rl
-        clock = [0.0]
-        monkeypatch.setattr(rl.time, "monotonic", lambda: clock[0])
-        bucket = TokenBucket(rate_per_second=100.0, burst=2)
-        clock[0] += 100.0
-        assert bucket.try_acquire()
-        assert bucket.try_acquire()
-        assert not bucket.try_acquire()
-
-    def test_retry_after_positive_when_empty(self):
-        bucket = TokenBucket(rate_per_second=1.0, burst=1)
-        bucket.try_acquire()
-        assert bucket.retry_after > 0
-
-    def test_retry_after_floored_when_full(self):
-        """A full bucket needs no wait, but the header contract is
-        "always positive": a zero (or negative, under refill races)
-        Retry-After tells clients to hammer immediately."""
-        from repro.net.ratelimit import MIN_RETRY_AFTER
-
-        bucket = TokenBucket(rate_per_second=1.0, burst=5)
-        assert bucket.retry_after == MIN_RETRY_AFTER
-
-    def test_retry_after_scales_with_rate(self):
-        fast = TokenBucket(rate_per_second=100.0, burst=1)
-        slow = TokenBucket(rate_per_second=1.0, burst=1)
-        fast.try_acquire()
-        slow.try_acquire()
-        assert fast.retry_after < slow.retry_after
-        assert slow.retry_after <= 1.0
-
-    def test_invalid_rate(self):
-        with pytest.raises(ValueError):
-            TokenBucket(rate_per_second=0, burst=1)
+    def test_burst_allowed_then_blocked(self, lg_world):
+        """Once the burst is spent the LG answers 429, and counts each
+        rejection under its own metric family."""
+        server = LookingGlassServer({("linx", 4): lg_world("linx")[1]},
+                                    rate_per_second=0.0001, burst=3)
+        obs.disable()
+        registry = obs.enable()
+        try:
+            statuses = [server.handle("/linx/v4/api/v1/status")[0]
+                        for _ in range(5)]
+            rejected = registry.value("repro_lg_server_ratelimited_total")
+        finally:
+            obs.disable()
+        assert statuses == [200, 200, 200, 429, 429]
+        assert rejected == 2
 
 
 class TestInstabilityInjector:

@@ -91,7 +91,7 @@ class TestResilience:
     def test_rate_limit_produces_429_then_recovers(self, lg_setup):
         server, url, _rs, _gen = lg_setup
         old_bucket = server.bucket
-        from repro.lg.ratelimit import TokenBucket
+        from repro.net.ratelimit import TokenBucket
         server.bucket = TokenBucket(rate_per_second=50, burst=1)
         try:
             import time

@@ -30,6 +30,15 @@ class TestTokenBucket:
         clock[0] += 0.1
         assert bucket.try_acquire()
 
+    def test_capacity_cap(self, clock):
+        """A long idle spell refills the bucket to its burst, no
+        further."""
+        bucket = TokenBucket(rate_per_second=100.0, burst=2)
+        clock[0] += 100.0
+        assert bucket.try_acquire()
+        assert bucket.try_acquire()
+        assert not bucket.try_acquire()
+
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
             TokenBucket(rate_per_second=0.0, burst=1)
