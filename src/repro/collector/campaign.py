@@ -18,7 +18,9 @@ multi-(IXP, family) scraping with
 * **checkpointing** — after each collected peer the partial snapshot
   is persisted through :class:`~repro.collector.store.DatasetStore`,
   so a crashed or deadline-parked campaign re-run with ``resume=True``
-  picks up at the first un-collected peer without re-fetching anything;
+  picks up at the first un-collected peer without re-fetching anything.
+  Each peer is JSON-encoded once and reused by every later checkpoint
+  (see :class:`_PeerLedger`);
 * **circuit breakers** — one per (ixp, family) mount (via
   :class:`~repro.lg.breaker.BreakerRegistry`), so a dead LG is probed,
   not hammered — refusals surface as their own ``breaker_open``
@@ -76,7 +78,7 @@ from ..lg.client import (
     LookingGlassError,
     TransientError,
 )
-from .integrity import IntegrityError
+from .integrity import EncodedJSON, IntegrityError
 from .scraper import utc_today
 from .snapshot import Snapshot
 from .store import DatasetStore
@@ -201,6 +203,81 @@ class _PeerOutcome:
     routes: List[Route] = field(default_factory=list)
     failure: Optional[PeerFailure] = None
     circuit_open_skips: int = 0
+
+
+@dataclass
+class _LedgerPeer:
+    """One collected peer of a target. A peer collected in this run
+    keeps its parsed LG routes; a peer resumed from a checkpoint keeps
+    its checkpoint entry instead, decoded only when the snapshot is
+    built. Either is encoded once, at the first checkpoint flush that
+    includes it."""
+
+    name: str
+    filtered: int
+    routes: Optional[List[Route]] = None
+    record: Optional[Dict[str, Any]] = None
+    encoded: Optional[EncodedJSON] = None
+
+    def encode(self) -> EncodedJSON:
+        """The checkpoint entry, encoded on first use."""
+        if self.encoded is None:
+            record = self.record
+            if record is None:
+                # a transient dict: the route dicts are dropped once
+                # encoded, so memory stays at the parsed routes.
+                record = {
+                    "routes": [route.to_dict() for route in self.routes],
+                    "filtered": self.filtered,
+                    "name": self.name,
+                }
+            self.encoded = EncodedJSON.of(record)
+        return self.encoded
+
+
+class _PeerLedger:
+    """The peers of one target collected so far, keyed by ASN string:
+    what every checkpoint and the final snapshot are built from.
+
+    A checkpoint flush splices the peers' cached encodings together
+    rather than re-encoding every peer collected so far, so each flush
+    costs the same JSON work however many came before it.
+    """
+
+    def __init__(self) -> None:
+        self._peers: Dict[str, _LedgerPeer] = {}
+
+    def __len__(self) -> int:
+        return len(self._peers)
+
+    def __contains__(self, asn: int) -> bool:
+        return str(asn) in self._peers
+
+    def resume(self, records: Dict[str, Dict[str, Any]]) -> None:
+        """Adopt a checkpoint's ``peers`` map."""
+        for asn, record in records.items():
+            self._peers[asn] = _LedgerPeer(
+                name=record.get("name", f"AS{asn}"),
+                filtered=int(record.get("filtered", 0)),
+                record=record)
+
+    def collect(self, neighbor: NeighborSummary,
+                routes: List[Route]) -> None:
+        """Record a peer collected in this run."""
+        self._peers[str(neighbor.asn)] = _LedgerPeer(
+            name=neighbor.name, filtered=neighbor.routes_filtered,
+            routes=routes)
+
+    def in_asn_order(self) -> List[Tuple[str, _LedgerPeer]]:
+        return [(asn, self._peers[asn])
+                for asn in sorted(self._peers, key=int)]
+
+    def encoded(self) -> EncodedJSON:
+        """The checkpoint's ``peers`` object. ASN-sorted, so checkpoint
+        bytes do not depend on fetch completion order under the async
+        engine."""
+        return EncodedJSON.of_object({asn: peer.encode()
+                                   for asn, peer in self.in_asn_order()})
 
 
 @dataclass
@@ -455,13 +532,7 @@ class CollectionCampaign:
             report.status = STATUS_ALREADY_COLLECTED
             return report
 
-        # progress so far: {asn(str): {"routes": [...], "filtered": n,
-        # "name": str}}
-        peers: Dict[str, Dict[str, Any]] = {}
-        # the parsed routes of each peer collected in this run, kept
-        # beside (not inside) the checkpoint entries so the snapshot is
-        # built without parsing them again; resumed peers have none.
-        collected: Dict[str, List[Route]] = {}
+        ledger = _PeerLedger()
         if resume:
             checkpoint = self.store.load_checkpoint(
                 target.ixp, target.family, captured_on)
@@ -479,15 +550,15 @@ class CollectionCampaign:
                         target.ixp, str(target.family),
                         "dictionary_drift").inc()
                 else:
-                    peers = dict(checkpoint.get("peers", {}))
-                    report.peers_resumed = len(peers)
-                    if peers:
+                    ledger.resume(checkpoint.get("peers", {}))
+                    report.peers_resumed = len(ledger)
+                    if ledger:
                         metrics = _METRICS()
                         metrics.resumes.labels(
                             target.ixp, str(target.family)).inc()
                         metrics.peers.labels(
                             target.ixp, str(target.family),
-                            "resumed").inc(len(peers))
+                            "resumed").inc(len(ledger))
         else:
             self.store.delete_checkpoint(
                 target.ixp, target.family, captured_on)
@@ -512,18 +583,18 @@ class CollectionCampaign:
         established = sorted(
             (n for n in neighbors if n.established),
             key=lambda n: n.asn)
-        pending = [n for n in established if str(n.asn) not in peers]
+        pending = [n for n in established if n.asn not in ledger]
         collect = (self._collect_peers_async if self.config.io == "async"
                    else self._collect_peers_serial)
-        collect(client, pending, peers, collected, report, target,
-                captured_on, started)
+        collect(client, pending, ledger, report, target, captured_on,
+                started)
 
         if report.deadline_hit or report.interrupted:
-            self._save_checkpoint(target, captured_on, peers, report)
+            self._save_checkpoint(target, captured_on, ledger, report)
             report.status = STATUS_INCOMPLETE
         else:
-            snapshot = self._build_snapshot(
-                target, captured_on, established, peers, collected, report)
+            snapshot = self._build_snapshot(target, captured_on, ledger,
+                                            report)
             report.snapshot_path = str(self.store.save_snapshot(snapshot))
             self.store.delete_checkpoint(
                 target.ixp, target.family, captured_on)
@@ -541,8 +612,7 @@ class CollectionCampaign:
 
     def _collect_peers_serial(self, client: LookingGlassClient,
                               pending: Sequence[NeighborSummary],
-                              peers: Dict[str, Dict[str, Any]],
-                              collected: Dict[str, List[Route]],
+                              ledger: _PeerLedger,
                               report: TargetReport,
                               target: CampaignTarget, captured_on: str,
                               started: float) -> None:
@@ -559,11 +629,11 @@ class CollectionCampaign:
             report.peers_attempted += 1
             outcome = self._collect_peer(client, neighbor, target)
             if not self._apply_outcome(target, report, neighbor,
-                                       outcome, peers, collected):
+                                       outcome, ledger):
                 continue
             since_checkpoint += 1
             if since_checkpoint >= max(1, self.config.checkpoint_every):
-                self._save_checkpoint(target, captured_on, peers,
+                self._save_checkpoint(target, captured_on, ledger,
                                       report)
                 since_checkpoint = 0
 
@@ -580,8 +650,7 @@ class CollectionCampaign:
 
     def _collect_peers_async(self, client: LookingGlassClient,
                              pending: Sequence[NeighborSummary],
-                             peers: Dict[str, Dict[str, Any]],
-                             collected: Dict[str, List[Route]],
+                             ledger: _PeerLedger,
                              report: TargetReport,
                              target: CampaignTarget, captured_on: str,
                              started: float) -> None:
@@ -629,10 +698,10 @@ class CollectionCampaign:
                 if task.error is not None:
                     raise task.error  # a bug, not a taxonomy failure
                 if self._apply_outcome(target, report, neighbor,
-                                       task.result, peers, collected):
+                                       task.result, ledger):
                     since_checkpoint += 1
             if since_checkpoint >= max(1, self.config.checkpoint_every):
-                self._save_checkpoint(target, captured_on, peers,
+                self._save_checkpoint(target, captured_on, ledger,
                                       report)
                 since_checkpoint = 0
 
@@ -688,9 +757,8 @@ class CollectionCampaign:
                        report: TargetReport,
                        neighbor: NeighborSummary,
                        outcome: "_PeerOutcome",
-                       peers: Dict[str, Dict[str, Any]],
-                       collected: Dict[str, List[Route]]) -> bool:
-        """Fold one peer's outcome into the report and progress map.
+                       ledger: _PeerLedger) -> bool:
+        """Fold one peer's outcome into the report and the ledger.
         True = peer collected."""
         metrics = _METRICS()
         report.circuit_open_skips += outcome.circuit_open_skips
@@ -705,12 +773,7 @@ class CollectionCampaign:
         report.peers_collected += 1
         metrics.peers.labels(
             target.ixp, str(target.family), "collected").inc()
-        peers[str(neighbor.asn)] = {
-            "routes": [route.to_dict() for route in outcome.routes],
-            "filtered": neighbor.routes_filtered,
-            "name": neighbor.name,
-        }
-        collected[str(neighbor.asn)] = outcome.routes
+        ledger.collect(neighbor, outcome.routes)
         return True
 
     def _collect_peer(self, client: LookingGlassClient,
@@ -796,9 +859,9 @@ class CollectionCampaign:
                 != self._dictionary_digest(target.ixp))
 
     def _save_checkpoint(self, target: CampaignTarget, captured_on: str,
-                         peers: Dict[str, Dict[str, Any]],
+                         ledger: _PeerLedger,
                          report: TargetReport) -> None:
-        payload = {
+        payload: Dict[str, Any] = {
             "version": CHECKPOINT_VERSION,
             "ixp": target.ixp,
             "family": target.family,
@@ -806,10 +869,7 @@ class CollectionCampaign:
             # the community scheme this progress was interpreted under;
             # resume refuses to merge across a scheme change.
             "dictionary_digest": self._dictionary_digest(target.ixp),
-            # ASN-sorted so checkpoint bytes do not depend on fetch
-            # completion order under the async engine.
-            "peers": {asn: peers[asn]
-                      for asn in sorted(peers, key=int)},
+            "peers": ledger.encoded(),
             "failures": [f.to_dict() for f in
                          sorted(report.failures, key=lambda f: f.asn)],
         }
@@ -817,16 +877,15 @@ class CollectionCampaign:
             # a parked checkpoint carries the metrics that explain it
             payload["metrics"] = obs.snapshot()
         self.store.save_checkpoint(
-            target.ixp, target.family, captured_on, payload)
+            target.ixp, target.family, captured_on,
+            EncodedJSON.of_object(payload))
         _METRICS().checkpoints.labels(
             target.ixp, str(target.family)).inc()
 
     def _build_snapshot(self, target: CampaignTarget, captured_on: str,
-                        established: Sequence[NeighborSummary],
-                        peers: Dict[str, Dict[str, Any]],
-                        collected: Dict[str, List[Route]],
+                        ledger: _PeerLedger,
                         report: TargetReport) -> Snapshot:
-        """Assemble the snapshot from the progress map.
+        """Assemble the snapshot from the ledger.
 
         Peers collected in this run contribute the routes parsed from
         their LG pages; only peers resumed from a checkpoint are decoded
@@ -845,20 +904,20 @@ class CollectionCampaign:
         memo = RouteDecodeMemo()
         # checkpointed peers that left the peer list since the first
         # run still belong to this date's snapshot.
-        for asn in sorted(peers, key=int):
-            entry = peers[asn]
+        for asn, peer in ledger.in_asn_order():
             members.append(Member(
                 asn=int(asn),
-                name=entry.get("name", f"AS{asn}"),
+                name=peer.name,
                 role=MemberRole.ACCESS_ISP,  # role is not observable
                 at_rs_v4=target.family == 4,
                 at_rs_v6=target.family == 6,
             ))
-            fresh = collected.get(asn)
-            if fresh is None:
-                fresh = [Route.from_dict(r, memo) for r in entry["routes"]]
-            routes.extend(fresh)
-            filtered_count += int(entry.get("filtered", 0))
+            if peer.routes is not None:
+                routes.extend(peer.routes)
+            else:
+                routes.extend(Route.from_dict(r, memo)
+                              for r in peer.record["routes"])
+            filtered_count += peer.filtered
         failures = sorted(report.failures, key=lambda f: f.asn)
         failed = [f.asn for f in failures]
         return Snapshot(

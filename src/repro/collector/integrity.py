@@ -39,7 +39,8 @@ import threading
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
+                    Tuple)
 
 from ..io.faultfs import active_fs, with_fs_retries
 from .snapshot import REQUIRED_PAYLOAD_KEYS as _SNAPSHOT_KEYS
@@ -135,23 +136,91 @@ def payload_digest(payload: Any) -> str:
     return hashlib.sha256(canonical_bytes(payload)).hexdigest()
 
 
+@dataclass(frozen=True)
+class EncodedJSON:
+    """One JSON value serialised both ways an artefact needs it: with
+    sorted keys (``canonical_parts``, what the digest covers) and in
+    insertion order (``ordered_parts``, what the file stores).
+
+    Encoding is context-free (compact separators, ASCII escapes), so a
+    value encoded once can be spliced into any number of enclosing
+    objects and the result is byte-identical to encoding the whole
+    document in one ``json.dumps`` call. Campaign checkpoints use this
+    to encode each peer once instead of at every flush. Both forms are
+    kept as chunks: splicing copies no bytes, and an artefact is joined
+    once, when it is written.
+    """
+
+    canonical_parts: Tuple[bytes, ...]
+    ordered_parts: Tuple[bytes, ...]
+
+    @classmethod
+    def of(cls, value: Any) -> "EncodedJSON":
+        """Encode *value* (returned unchanged if already encoded)."""
+        if isinstance(value, EncodedJSON):
+            return value
+        return cls(
+            (canonical_bytes(value),),
+            (json.dumps(value, separators=(",", ":")).encode("utf-8"),))
+
+    @classmethod
+    def of_object(cls, members: Mapping[str, Any]) -> "EncodedJSON":
+        """A JSON object whose values may themselves be
+        :class:`EncodedJSON`. The ordered form keeps the mapping's
+        order; the canonical form sorts by key exactly as
+        ``sort_keys=True`` does."""
+        items = []
+        for key, value in members.items():
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be str, "
+                                f"got {type(key).__name__}")
+            items.append((key, json.dumps(key).encode("utf-8"),
+                          cls.of(value)))
+        ordered = _object_parts((encoded_key, value.ordered_parts)
+                                for _key, encoded_key, value in items)
+        items.sort(key=lambda item: item[0])
+        canonical = _object_parts((encoded_key, value.canonical_parts)
+                                  for _key, encoded_key, value in items)
+        return cls(canonical, ordered)
+
+
+def _object_parts(members: Iterable[Tuple[bytes, Tuple[bytes, ...]]],
+                  ) -> Tuple[bytes, ...]:
+    """The chunks of ``{key:value,...}`` from encoded members."""
+    parts = [b"{"]
+    for encoded_key, value_parts in members:
+        parts += (encoded_key, b":", *value_parts, b",")
+    if len(parts) > 1:
+        parts.pop()  # the last member's comma
+    parts.append(b"}")
+    return tuple(parts)
+
+
 def encode_artefact(payload: Any, kind: str, *, gz: bool,
                     compresslevel: int = 9) -> Tuple[bytes, str]:
     """Wrap *payload* in the integrity envelope and serialise it.
 
-    Returns ``(file_bytes, sha256)`` — the digest is over the canonical
-    payload JSON, so it is independent of compression settings and is
-    the value mirrored into the manifest.
+    *payload* is a JSON-ready value or an :class:`EncodedJSON` built
+    from one; both give the same bytes. Returns ``(file_bytes,
+    sha256)`` — the digest is over the canonical payload JSON, so it
+    is independent of compression settings and is the value mirrored
+    into the manifest.
     """
-    digest = payload_digest(payload)
-    envelope = {
+    encoded = EncodedJSON.of(payload)
+    sha256 = hashlib.sha256()
+    for part in encoded.canonical_parts:
+        sha256.update(part)
+    digest = sha256.hexdigest()
+    head = json.dumps({
         "artefact": ARTEFACT_MAGIC,
         "version": ENVELOPE_VERSION,
         "kind": kind,
         "sha256": digest,
-        "payload": payload,
-    }
-    body = json.dumps(envelope, separators=(",", ":")).encode("utf-8")
+    }, separators=(",", ":")).encode("utf-8")
+    # the payload is the envelope's last member: reopen the encoded
+    # head object and append it.
+    body = b"".join((head[:-1], b',"payload":', *encoded.ordered_parts,
+                     b"}"))
     if gz:
         # mtime=0 keeps identical payloads byte-identical on disk.
         body = gzip.compress(body, compresslevel=compresslevel, mtime=0)

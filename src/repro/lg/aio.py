@@ -446,6 +446,7 @@ class AsyncLookingGlassClient:
         return routes
 
     def close(self) -> None:
-        """Drop every pooled connection and the selector."""
-        self.pool.close_all()
+        """Cancel in-flight fetches, then drop every pooled connection
+        and the selector."""
         self.loop.close()
+        self.pool.close_all()

@@ -272,13 +272,14 @@ class EventLoop:
         #: tasks ready to step: (task, value, exc)
         self._ready: Deque[Tuple[Task, Any, Optional[BaseException]]] = \
             deque()
-        self._live_tasks = 0
+        #: spawned, unfinished tasks (a dict keeps spawn order).
+        self._tasks: Dict[Task, None] = {}
 
     # -- spawning and waking ------------------------------------------
 
     def spawn(self, gen: Generator, name: str = "") -> Task:
         task = Task(self, gen, name)
-        self._live_tasks += 1
+        self._tasks[task] = None
         self._ready.append((task, None, None))
         return task
 
@@ -300,7 +301,7 @@ class EventLoop:
         task.result = result
         task.error = error
         task.gen.close()
-        self._live_tasks -= 1
+        del self._tasks[task]
         callbacks, task._callbacks = task._callbacks, []
         for fn in callbacks:
             fn(task)
@@ -386,7 +387,7 @@ class EventLoop:
 
     @property
     def live_tasks(self) -> int:
-        return self._live_tasks
+        return len(self._tasks)
 
     def run_once(self, max_wait: float = 0.05) -> bool:
         """One loop turn: step runnable tasks, poll I/O (bounded by
@@ -424,13 +425,21 @@ class EventLoop:
             if self.idle:
                 raise RuntimeError(
                     f"event loop stalled with task {task.name} pending "
-                    f"({self._live_tasks} live tasks, all parked)")
+                    f"({len(self._tasks)} live tasks, all parked)")
             self.run_once(max_wait)
         if task.error is not None:
             raise task.error
         return task.result
 
     def close(self) -> None:
+        """Cancel every live task, then release the selector. The
+        cancelled tasks' ``finally`` blocks run here, so a connection a
+        task had checked out is discarded now rather than left to the
+        garbage collector (an exception escaping mid-run leaves tasks
+        in flight)."""
+        for task in list(self._tasks):
+            task.cancel()
+        self._drain_ready()
         self.selector.close()
 
 

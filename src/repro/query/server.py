@@ -198,6 +198,10 @@ class QueryHTTPServer:
             # out and closes within this many seconds, so stop()'s
             # handler join cannot hang on a quiet client.
             timeout = 10
+            #: headers and body are separate small writes; with Nagle
+            #: on, the body waits out the client's delayed ACK (~40ms)
+            #: on every back-to-back keep-alive response.
+            disable_nagle_algorithm = True
 
             def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
                 started = time.perf_counter()

@@ -167,6 +167,46 @@ class TestConcurrentCrashSweep:
                                         families=(4,)).table1()
                 assert rows == control_rows, occurrence
 
+    def test_async_crash_leaves_no_unclosed_socket(
+            self, lg_world, tmp_path, monkeypatch):
+        """A crash escaping an async run mid-target (page fetches still
+        in flight) must not leave their sockets to the garbage
+        collector: every pooled connection is closed by the time the
+        exception reaches the caller."""
+        import gc
+        import warnings
+
+        from repro.net import aio
+
+        pools = []
+        original_init = aio.ConnectionPool.__init__
+
+        def recording_init(pool, *args, **kwargs):
+            original_init(pool, *args, **kwargs)
+            pools.append(pool)
+
+        monkeypatch.setattr(aio.ConnectionPool, "__init__", recording_init)
+        _generator, route_server = lg_world("linx")
+        server = start_server(route_server)
+        with server.serve() as url, \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            store = DatasetStore(
+                tmp_path / "crash",
+                crash_schedule=CrashSchedule(label="checkpoint:temp",
+                                             occurrence=1))
+            campaign = make_campaign(store, url, **ASYNC)
+            with pytest.raises(SimulatedCrash):
+                campaign.run()
+            assert len(pools) == 1 and pools[0].opened
+            assert pools[0].open_connections() == 0
+            del campaign
+            pools.clear()
+            gc.collect()
+        leaked = [w for w in caught
+                  if issubclass(w.category, ResourceWarning)]
+        assert not leaked, [str(w.message) for w in leaked]
+
 
 class TestConcurrentFaultSurvival:
     def test_concurrent_campaign_survives_outage_and_malformed(

@@ -209,6 +209,29 @@ class TestEventLoop:
         assert task.done and released == [True]
         assert isinstance(task.error, TaskCancelled)
 
+    def test_close_cancels_live_tasks(self):
+        """Tasks parked on a timer or not yet started are cancelled by
+        ``close``, their ``finally`` blocks run before it returns."""
+        loop = EventLoop()
+        released = []
+
+        def holder(name):
+            try:
+                yield from aio.sleep(60)
+            finally:
+                released.append(name)
+
+        parked = loop.spawn(holder("parked"), "parked")
+        loop.run_once(max_wait=0)
+        unstarted = loop.spawn(holder("unstarted"), "unstarted")
+        assert loop.live_tasks == 2
+        loop.close()
+        assert loop.live_tasks == 0
+        assert released == ["parked"]  # never entered its try block
+        assert isinstance(parked.error, TaskCancelled)
+        assert unstarted.done and isinstance(unstarted.error,
+                                             TaskCancelled)
+
     def test_non_instruction_yield_is_an_error(self):
         loop = EventLoop()
 

@@ -126,6 +126,40 @@ class TestHTTPRoundTrip:
             assert response.read() == b""
             connection.close()
 
+    def test_served_connection_disables_nagle(self, server, monkeypatch):
+        """Headers and body go out as separate writes; with Nagle on,
+        back-to-back keep-alive reads stall on the client's delayed
+        ACK. The accepted socket must carry TCP_NODELAY."""
+        import http.client
+        import socket
+
+        make_handler = server._make_handler
+        nodelay = []
+
+        def probing_handler():
+            base = make_handler()
+
+            class Probe(base):
+                def setup(self):
+                    super().setup()
+                    nodelay.append(self.connection.getsockopt(
+                        socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+            return Probe
+
+        monkeypatch.setattr(server, "_make_handler", probing_handler)
+        with server.serve():
+            connection = http.client.HTTPConnection(server.host,
+                                                    server.port,
+                                                    timeout=30)
+            for _ in range(2):  # two reads over one keep-alive socket
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                assert response.status == 200
+                response.read()
+            connection.close()
+        assert len(nodelay) == 1 and nodelay[0] != 0
+
     def test_graceful_stop_drains(self, server):
         with server.serve() as url:
             assert fetch(url + "/healthz")[0] == 200
