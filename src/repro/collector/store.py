@@ -45,7 +45,16 @@ import re
 import threading
 import types
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import (
+    Any,
+    Container,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+)
 
 try:  # POSIX-only; manifest updates fall back to thread-safety elsewhere
     import fcntl
@@ -420,7 +429,9 @@ class DatasetStore:
         return path
 
     def read_snapshot(self, ixp: str, family: int, date: str, *,
-                      heal: bool = True) -> Tuple[Snapshot, str]:
+                      heal: bool = True,
+                      known: Container[str] = (),
+                      ) -> Tuple[Optional[Snapshot], str]:
         """Load + verify one snapshot; returns ``(snapshot, sha256)``
         — the digest is the envelope/manifest payload digest the
         aggregate cache keys on.
@@ -430,6 +441,12 @@ class DatasetStore:
         error's ``record`` says where). ``heal=False`` verifies but
         never mutates the store — the mode parallel analysis workers
         use, so quarantine and manifest writes stay in one process.
+
+        *known* holds payload digests the caller has already decoded:
+        when the verified digest is one of them, the decode is skipped
+        and ``(None, sha256)`` comes back. Verification runs in full
+        either way, so a known digest only ever answers for bytes that
+        hash to it.
         """
         path = self._snapshot_path(ixp, family, date)
         if heal:
@@ -438,6 +455,8 @@ class DatasetStore:
         else:
             payload, digest = self._read_verified(path, "snapshot",
                                                   gz=True)
+        if digest in known:
+            return None, digest
         from ..io.columnar import decode_snapshot_payload
         try:
             return decode_snapshot_payload(payload), digest
@@ -561,9 +580,30 @@ class DatasetStore:
         O(entries), not O(routes)."""
         path = self._snapshot_path(ixp, family, date)
         scope = self._scope_dir(path)
-        rel = path.relative_to(scope).as_posix()
         with self._manifest_lock:
-            entry = Manifest.load(scope).get(rel)
+            manifest = Manifest.load(scope)
+        return self._vouched_digest(manifest, scope, path)
+
+    def snapshot_series(self, ixp: str, families: Iterable[int],
+                        ) -> Dict[int, Tuple[Tuple[str, Optional[str]],
+                                             ...]]:
+        """Every listed snapshot date of each family, oldest first,
+        paired with its :meth:`snapshot_digest` — from one read of the
+        IXP's manifest, not one per date."""
+        scope = self.root / self._validate_name(ixp)
+        with self._manifest_lock:
+            manifest = Manifest.load(scope)
+        return {family: tuple(
+                    (date, self._vouched_digest(
+                        manifest, scope,
+                        self._snapshot_path(ixp, family, date)))
+                    for date in self.snapshot_dates(ixp, family))
+                for family in families}
+
+    @staticmethod
+    def _vouched_digest(manifest: Manifest, scope: Path,
+                        path: Path) -> Optional[str]:
+        entry = manifest.get(path.relative_to(scope).as_posix())
         if entry is None:
             return None
         try:

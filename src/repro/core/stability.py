@@ -58,13 +58,24 @@ def variation_rows(snapshots: Sequence[Snapshot]) -> List[VariationRow]:
         raise ValueError(
             "variation_rows needs snapshots of a single (IXP, family); "
             f"got {sorted(ixps)} x {sorted(families)}")
-    summaries = [s.summary() for s in snapshots]
+    return summary_variation_rows(snapshots[0].ixp, snapshots[0].family,
+                                  [s.summary() for s in snapshots])
+
+
+def summary_variation_rows(ixp: str, family: int,
+                           summaries: Sequence[Dict[str, int]],
+                           ) -> List[VariationRow]:
+    """:func:`variation_rows` over :meth:`Snapshot.summary` counters
+    already taken from one (IXP, family) series — the form for callers
+    that keep summaries rather than decoded snapshots."""
+    if not summaries:
+        return []
     rows = []
     for metric in METRICS:
         values = [summary[metric] for summary in summaries]
         rows.append(VariationRow(
-            ixp=snapshots[0].ixp,
-            family=snapshots[0].family,
+            ixp=ixp,
+            family=family,
             metric=metric,
             minimum=min(values),
             maximum=max(values),

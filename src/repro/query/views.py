@@ -1,18 +1,20 @@
 """Dataset views: what the query API serves, and how it stays fresh.
 
 Everything the service answers is a pure function of the dataset's
-**content addresses** — the manifest-recorded sha256 of each key's
-newest snapshot, the dictionary digests, and the aggregate-cache keys
-derived from them (:func:`repro.core.engine.aggregate_cache_key`).
+**content addresses** — the manifest-recorded sha256 of every listed
+snapshot of each key, the dictionary digests, and the aggregate-cache
+keys derived from them (:func:`repro.core.engine.aggregate_cache_key`).
 :class:`QueryService` therefore works in two tiers:
 
-* a **fingerprint** of those addresses, recomputed per request but
+* a **fingerprint** of those addresses, probed per request but
   memoised on each IXP's ``MANIFEST.json`` stat signature (every
   artefact write rewrites the manifest, so an unchanged stat means
-  unchanged addresses). The fingerprint digest seeds every strong
-  ETag: re-collecting a snapshot or editing a dictionary moves the
-  addresses, hence the ETag, hence invalidates everything derived —
-  by construction, exactly like the aggregate cache itself;
+  unchanged addresses): while no signature moves, a probe returns the
+  same :class:`Fingerprint` object. The fingerprint digest seeds every
+  strong ETag: re-collecting or back-filling a snapshot, or editing a
+  dictionary, moves the addresses, hence the ETag, hence invalidates
+  everything derived — by construction, exactly like the aggregate
+  cache itself;
 * **bodies**, built lazily from the same :class:`~repro.core.Study` /
   :mod:`repro.core.export` code paths the CLI uses (so JSON bytes are
   identical to ``repro-study export``), cached in a bounded
@@ -43,7 +45,7 @@ from ..core.aggregate import aggregate_snapshot
 from ..core.engine import AGGREGATOR_VERSION, AggregateCache, aggregate_cache_key
 from ..core.export import artefact_names, dumps_rows, study_rows
 from ..core.pipeline import Study
-from ..core.stability import variation_rows
+from ..core.stability import summary_variation_rows
 from ..ixp.profiles import ALL_IXPS, get_profile
 from ..ixp.schemes import dictionary_for
 from .cache import ResponseCache
@@ -88,6 +90,10 @@ class KeyAddress:
     #: the aggregate cache's content address for this key, or None
     #: while no verified snapshot exists.
     aggregate_key: Optional[str]
+    #: every listed snapshot date, oldest first, with its
+    #: manifest-recorded sha256 (None where the manifest cannot vouch
+    #: for the file) — the series Tables 3/4 and ``/v1/ixps`` read.
+    days: Tuple[Tuple[str, Optional[str]], ...]
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -181,18 +187,27 @@ class QueryService:
         #: ixp → (manifest stat signature, per-family addresses).
         self._address_memo: Dict[
             str, Tuple[object, Tuple[KeyAddress, ...]]] = {}
+        #: (per-IXP address tuples, fingerprint over them): returned
+        #: as is while every IXP's memoed addresses are the same
+        #: objects, so a warm probe costs one stat per IXP.
+        self._fingerprint_memo: Optional[Tuple[
+            Tuple[Tuple[KeyAddress, ...], ...], Fingerprint]] = None
         #: ixp → (dictionary digest, dictionary object) for the memoed
         #: stat signature; rebuilt whenever the manifest moves.
         self._dictionary_memo: Dict[str, Tuple[str, object]] = {}
         #: bundle built from the Study, keyed by fingerprint digest.
         self._bundle_digest: Optional[str] = None
         self._bundle: Optional[Dict[str, List[Dict[str, object]]]] = None
-        #: Tables 3/4 rows, keyed by (fingerprint digest, window) —
-        #: loading a snapshot series is the single most expensive build
+        #: Tables 3/4 rows (window → rows) of one fingerprint digest —
+        #: reading the snapshot series is the most expensive build
         #: this service does, and the lock makes it single-flight: a
-        #: stampede of cold misses parses the series once, not N times.
-        self._variation_memo: Dict[
-            Tuple[str, Optional[int]], List[Dict[str, object]]] = {}
+        #: stampede of cold misses reads the series once, not N times.
+        self._variation_digest: Optional[str] = None
+        self._variation: Dict[Optional[int], List[Dict[str, object]]] = {}
+        #: verified payload sha256 → ``Snapshot.summary()`` for the
+        #: digests the latest series pass read; a day whose bytes still
+        #: verify to a known digest is not decoded again.
+        self._summaries: Dict[str, Dict[str, int]] = {}
 
     # -- fingerprinting -------------------------------------------------
 
@@ -232,11 +247,11 @@ class QueryService:
         dictionary = self._effective_dictionary(ixp)
         dictionary_sha256 = dictionary.digest()
         self._dictionary_memo[ixp] = (dictionary_sha256, dictionary)
+        series = self.store.snapshot_series(ixp, self.families)
         addresses = []
         for family in self.families:
             captured_on = snapshot_sha256 = aggregate_key = None
-            for date in reversed(self.store.snapshot_dates(ixp, family)):
-                digest = self.store.snapshot_digest(ixp, family, date)
+            for date, digest in reversed(series[family]):
                 if digest:
                     captured_on, snapshot_sha256 = date, digest
                     aggregate_key = aggregate_cache_key(
@@ -246,18 +261,23 @@ class QueryService:
                 ixp=ixp, family=family, captured_on=captured_on,
                 snapshot_sha256=snapshot_sha256,
                 dictionary_sha256=dictionary_sha256,
-                aggregate_key=aggregate_key))
+                aggregate_key=aggregate_key, days=series[family]))
         result = tuple(addresses)
         self._address_memo[ixp] = (signature, result)
         return result
 
     def fingerprint(self) -> Fingerprint:
         """The dataset's current content-address fingerprint. Cheap on
-        the warm path: one ``stat`` per IXP manifest."""
+        the warm path: one ``stat`` per IXP manifest, whatever the
+        series length."""
         with self._lock:
-            addresses: List[KeyAddress] = []
-            for ixp in self.ixps():
-                addresses.extend(self._addresses_for(ixp))
+            parts = tuple(self._addresses_for(ixp)
+                          for ixp in self.ixps())
+            memo = self._fingerprint_memo
+            if memo is not None and len(memo[0]) == len(parts) \
+                    and all(old is new for old, new in zip(memo[0], parts)):
+                return memo[1]
+            addresses = [address for part in parts for address in part]
             material = [f"q{QUERY_SCHEMA_VERSION}",
                         f"a{AGGREGATOR_VERSION}",
                         ",".join(str(f) for f in self.families)]
@@ -265,10 +285,15 @@ class QueryService:
                 material.append(
                     f"{address.ixp}:{address.family}"
                     f":{address.captured_on}:{address.snapshot_sha256}"
-                    f":{address.dictionary_sha256}")
+                    f":{address.dictionary_sha256}:"
+                    + ",".join(f"{date}={digest}"
+                               for date, digest in address.days))
             digest = hashlib.sha256(
                 "\n".join(material).encode("utf-8")).hexdigest()
-            return Fingerprint(addresses=tuple(addresses), digest=digest)
+            fingerprint = Fingerprint(addresses=tuple(addresses),
+                                      digest=digest)
+            self._fingerprint_memo = (parts, fingerprint)
+            return fingerprint
 
     def _etag(self, fingerprint: Fingerprint, name: str,
               params: Dict[str, str]) -> str:
@@ -356,9 +381,7 @@ class QueryService:
                     "name": profile.name if profile else ixp,
                     "families": [a.family for a in addresses
                                  if a.snapshot_sha256 is not None],
-                    "snapshots": sum(
-                        len(self.store.snapshot_dates(ixp, a.family))
-                        for a in addresses),
+                    "snapshots": sum(len(a.days) for a in addresses),
                     "newest": max(
                         (a.captured_on for a in addresses
                          if a.captured_on is not None), default=None),
@@ -470,42 +493,50 @@ class QueryService:
         """Tables 3/4: min/max/Diff% over each key's snapshot series
         (the newest *window* dates, or the whole series).
 
-        Memoised on the fingerprint digest and built under the service
-        lock: the series parse is the most expensive build here, and
-        single-flight turns a cold-start stampede into one build plus
-        waiters."""
+        Both tables come from one series pass, memoised on the
+        fingerprint digest and built under the service lock: the pass
+        is the most expensive build here, and single-flight turns a
+        cold-start stampede into one build plus waiters."""
         with self._lock:
-            key = (fingerprint.digest, window)
-            cached = self._variation_memo.get(key)
-            if cached is not None:
-                return cached
-            rows = self._build_variation_rows(window)
-            # only the current dataset's rows are worth keeping (both
-            # windows of it — tables 3 and 4 share the memo)
-            self._variation_memo = {
-                k: v for k, v in self._variation_memo.items()
-                if k[0] == fingerprint.digest}
-            self._variation_memo[key] = rows
-            return rows
+            if self._variation_digest != fingerprint.digest:
+                self._variation = self._build_variation_rows(fingerprint)
+                self._variation_digest = fingerprint.digest
+            return self._variation[window]
 
-    def _build_variation_rows(self, window: Optional[int],
-                              ) -> List[Dict[str, object]]:
-        rows: List[Dict[str, object]] = []
-        for ixp in self.ixps():
-            for family in self.families:
-                dates = self.store.snapshot_dates(ixp, family)
-                if window is not None:
-                    dates = dates[-window:]
-                snapshots = []
-                for date in dates:
-                    try:
-                        snapshots.append(
-                            self.store.load_snapshot(ixp, family, date))
-                    except (FileNotFoundError, IntegrityError):
-                        continue  # a missing/damaged day, like §3
-                rows.extend(row.as_dict()
-                            for row in variation_rows(snapshots))
-        return rows
+    def _build_variation_rows(self, fingerprint: Fingerprint,
+                              ) -> Dict[Optional[int],
+                                        List[Dict[str, object]]]:
+        """One pass over every key's listed days. Each day is read and
+        verified (quarantined if damaged, skipped like a failed
+        collection, as in §3); only a day whose verified digest the
+        previous pass did not see is decoded."""
+        summaries: Dict[str, Dict[str, int]] = {}
+        tables: Dict[Optional[int], List[Dict[str, object]]] = {
+            TABLE3_WINDOW: [], None: []}
+        for address in fingerprint.addresses:
+            recent = {date for date, _digest
+                      in address.days[-TABLE3_WINDOW:]}
+            series = []
+            for date, _digest in address.days:
+                try:
+                    snapshot, digest = self.store.read_snapshot(
+                        address.ixp, address.family, date,
+                        known=self._summaries)
+                except (FileNotFoundError, IntegrityError):
+                    continue
+                summary = self._summaries[digest] if snapshot is None \
+                    else snapshot.summary()
+                summaries[digest] = summary
+                series.append((date, summary))
+            for window, kept in (
+                    (TABLE3_WINDOW, [summary for date, summary in series
+                                     if date in recent]),
+                    (None, [summary for _date, summary in series])):
+                tables[window].extend(
+                    row.as_dict() for row in summary_variation_rows(
+                        address.ixp, address.family, kept))
+        self._summaries = summaries
+        return tables
 
     def _resolve_figures(self, params: Dict[str, str],
                          fingerprint: Fingerprint,

@@ -73,6 +73,46 @@ class TestSnapshots:
         store.save_snapshot(snapshot("2021-07-19", ixp="amsix"))
         assert store.ixps() == ["amsix", "linx"]
 
+    def test_known_digest_skips_only_the_decode(self, store,
+                                                monkeypatch):
+        from repro.io import columnar
+        store.save_snapshot(snapshot("2021-07-19"))
+        loaded, digest = store.read_snapshot("linx", 4, "2021-07-19")
+        assert loaded.captured_on == "2021-07-19"
+        monkeypatch.setattr(columnar, "decode_snapshot_payload",
+                            lambda payload: pytest.fail("decoded"))
+        assert store.read_snapshot("linx", 4, "2021-07-19",
+                                   known={digest}) == (None, digest)
+
+    def test_known_digest_never_answers_for_damaged_bytes(self, store):
+        path = store.save_snapshot(snapshot("2021-07-19"))
+        digest = store.snapshot_digest("linx", 4, "2021-07-19")
+        document = json.loads(gzip.decompress(path.read_bytes()))
+        document["payload"]["ixp"] = "evil"
+        path.write_bytes(gzip.compress(
+            json.dumps(document).encode("utf-8")))
+        with pytest.raises(ChecksumMismatchError):
+            store.read_snapshot("linx", 4, "2021-07-19", known={digest})
+        assert not path.exists()
+        assert [r.original for r in store.quarantine_records()] == [
+            "linx/v4/2021-07-19.json.gz"]
+
+    def test_snapshot_series_pairs_dates_with_digests(self, store):
+        for date in ("2021-07-26", "2021-07-19"):
+            store.save_snapshot(snapshot(date))
+        store.save_snapshot(snapshot("2021-07-19", family=6))
+        unvouched = store._snapshot_path("linx", 4, "2021-07-26")
+        store._forget_manifest_entry(unvouched)
+        series = store.snapshot_series("linx", (4, 6))
+        assert series == {
+            4: (("2021-07-19",
+                 store.snapshot_digest("linx", 4, "2021-07-19")),
+                ("2021-07-26", None)),
+            6: (("2021-07-19",
+                 store.snapshot_digest("linx", 6, "2021-07-19")),),
+        }
+        assert None not in (series[4][0][1], series[6][0][1])
+
     def test_summary_table(self, store):
         store.save_snapshot(snapshot("2021-07-19"))
         rows = store.summary_table("linx", 4)

@@ -7,6 +7,7 @@ from repro.core.stability import (
     max_diff_percent,
     median_diff_percent,
     period_variation,
+    summary_variation_rows,
     variation_rows,
     weekly_variation,
 )
@@ -47,6 +48,14 @@ class TestVariationRows:
 
     def test_empty(self):
         assert variation_rows([]) == []
+
+    def test_summary_form_gives_the_same_rows(self):
+        series = [snapshot("2021-09-27", 96), snapshot("2021-09-28", 100),
+                  snapshot("2021-09-29", 0)]
+        assert summary_variation_rows(
+            "linx", 4, [s.summary() for s in series]) == \
+            variation_rows(series)
+        assert summary_variation_rows("linx", 4, []) == []
 
 
 class TestHelpers:

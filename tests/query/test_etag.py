@@ -7,6 +7,9 @@ import string
 from repro.core.engine import aggregate_cache_key
 from repro.ixp.dictionary import CommunityRule
 from repro.ixp.taxonomy import ActionCategory
+from repro.query import QueryService
+
+from .conftest import FAMILIES, IXPS
 
 HEX = set(string.hexdigits.lower())
 
@@ -104,6 +107,31 @@ class TestInvalidation:
             if_none_match=f'"{decix.etag}"')
         # decix-fra's content addresses did not move: still a 304
         assert again.status == 304
+
+    def test_backfill_moves_series_etags(self, qstore, service,
+                                         linx_generator):
+        """Back-filling an older day changes ``/v1/ixps`` (its
+        snapshot count) and Tables 3/4, so their ETags move too; the
+        newest snapshot, hence the aggregate's address, stays."""
+        routes = (("ixps", {}), ("table", {"table": "3"}),
+                  ("table", {"table": "4"}),
+                  ("aggregate", {"ixp": "linx", "family": "4"}))
+        before = [service.respond(name, params)
+                  for name, params in routes]
+        qstore.save_snapshot(linx_generator.snapshot(4, 3,
+                                                     degraded=False))
+        fresh = QueryService(qstore, ixps=IXPS, families=FAMILIES)
+        for (name, params), old in zip(routes[:3], before):
+            again = service.respond(name, params,
+                                    if_none_match=f'"{old.etag}"')
+            assert again.status == 200, name
+            assert again.etag != old.etag, name
+            served = fresh.respond(name, params)
+            assert (again.etag, again.body) == (served.etag,
+                                                served.body), name
+        aggregate = service.respond(
+            *routes[3], if_none_match=f'"{before[3].etag}"')
+        assert aggregate.status == 304
 
     def test_dictionary_change_moves_the_aggregate_etag(self, qstore,
                                                         service):
