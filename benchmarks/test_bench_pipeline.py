@@ -1,15 +1,13 @@
 """Throughput benches for the pipeline's hot kernels.
 
 Not a paper artefact — these time the substrate itself (generation,
-classification, aggregation, wire codec, LG round trips) so performance
+classification, aggregation, LG round trips) so performance
 regressions in the reproduction are visible.
 """
 
 import pytest
 
-from repro.bgp.aspath import AsPath
 from repro.bgp.communities import standard
-from repro.bgp.messages import UpdateMessage
 from repro.core.aggregate import aggregate_snapshot
 from repro.core.classification import Classifier
 from repro.ixp import dictionary_for, get_profile
@@ -67,21 +65,6 @@ def test_bench_dictionary_lookup_miss(benchmark):
 
     misses = benchmark(lookup_all)
     assert misses == len(unknown)
-
-
-def test_bench_update_codec(benchmark):
-    update = UpdateMessage(
-        nlri=[f"20.{i}.0.0/16" for i in range(40)],
-        origin=0,
-        as_path=AsPath.from_asns([60500, 6939, 3356]),
-        next_hop="80.81.192.10",
-        communities=tuple(standard(0, 6000 + i) for i in range(20)))
-    blob = update.encode()
-
-    def roundtrip():
-        return UpdateMessage.decode(blob).encode()
-
-    assert benchmark(roundtrip) == blob
 
 
 def test_bench_lg_roundtrip(benchmark, small_generator):

@@ -1,4 +1,4 @@
-"""BGP substrate: ASNs, prefixes, communities, AS paths, routes, messages.
+"""BGP substrate: ASNs, prefixes, communities, AS paths and routes.
 
 This package implements the protocol-level building blocks the rest of the
 reproduction stands on. Nothing in here knows about IXPs or the paper's
@@ -33,12 +33,7 @@ from .errors import (
     MalformedAsPathError,
     MalformedCommunityError,
     MalformedPrefixError,
-    MessageDecodeError,
-    MessageEncodeError,
 )
-from .messages import UpdateMessage, decode_header, encode_keepalive
-from .open import Capability, OpenMessage
-from .session import BgpSession, SessionState, connect, pump
 from .prefix import (
     address_family,
     canonical,
@@ -54,14 +49,11 @@ __all__ = [
     "Community", "StandardCommunity", "ExtendedCommunity", "LargeCommunity",
     "parse_community", "community_kind", "standard", "large",
     "NO_EXPORT", "NO_ADVERTISE", "BLACKHOLE",
-    "Route", "UpdateMessage", "decode_header", "encode_keepalive",
-    "OpenMessage", "Capability", "BgpSession", "SessionState",
-    "connect", "pump",
+    "Route",
     "parse_asn", "format_asdot", "is_16bit", "is_bogon_asn",
     "contains_bogon_asn", "BOGON_ASN_RANGES",
     "parse_prefix", "canonical", "address_family", "is_bogon_prefix",
     "is_too_specific", "is_too_broad",
     "BgpError", "MalformedAsnError", "MalformedAsPathError",
     "MalformedCommunityError", "MalformedPrefixError",
-    "MessageDecodeError", "MessageEncodeError",
 ]

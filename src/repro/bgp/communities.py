@@ -7,14 +7,13 @@ Implements the three community flavours the paper observes on IXP routes
 * **extended** communities (RFC 4360) — 64 bits, type/subtype + payload;
 * **large** communities (RFC 8092) — 96 bits, ``GLOBAL:LOCAL1:LOCAL2``.
 
-Each flavour is an immutable, hashable dataclass with string and wire
+Each flavour is an immutable, hashable dataclass with string
 (de)serialisation, so community values can be used as dictionary keys in
 counting pipelines and round-tripped through the Looking Glass JSON API.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Tuple, Union
 
@@ -81,16 +80,6 @@ class StandardCommunity:
         """Packed 32-bit wire value."""
         return (self.asn << 16) | self.value
 
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "StandardCommunity":
-        if len(blob) != 4:
-            raise MalformedCommunityError(
-                f"standard community needs 4 bytes, got {len(blob)}")
-        return cls.from_u32(struct.unpack("!I", blob)[0])
-
-    def to_bytes(self) -> bytes:
-        return struct.pack("!I", self.to_u32())
-
     @property
     def well_known_name(self) -> Union[str, None]:
         """RFC 1997/7999 well-known name, or None."""
@@ -151,18 +140,6 @@ class ExtendedCommunity:
                 f"not an extended community: {text!r}") from exc
         raise MalformedCommunityError(f"not an extended community: {text!r}")
 
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "ExtendedCommunity":
-        if len(blob) != 8:
-            raise MalformedCommunityError(
-                f"extended community needs 8 bytes, got {len(blob)}")
-        t_high, t_low, g_admin, l_admin = struct.unpack("!BBHI", blob)
-        return cls(t_high, t_low, g_admin, l_admin)
-
-    def to_bytes(self) -> bytes:
-        return struct.pack("!BBHI", self.type_high, self.type_low,
-                           self.global_admin, self.local_admin)
-
     def __str__(self) -> str:
         if (self.type_high, self.type_low) == (0x00, 0x02):
             return f"rt:{self.global_admin}:{self.local_admin}"
@@ -203,18 +180,6 @@ class LargeCommunity:
             raise MalformedCommunityError(
                 f"not a large community: {text!r}") from exc
         return cls(a, b, c)
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "LargeCommunity":
-        if len(blob) != 12:
-            raise MalformedCommunityError(
-                f"large community needs 12 bytes, got {len(blob)}")
-        a, b, c = struct.unpack("!III", blob)
-        return cls(a, b, c)
-
-    def to_bytes(self) -> bytes:
-        return struct.pack("!III", self.global_admin,
-                           self.local_data1, self.local_data2)
 
     def __str__(self) -> str:
         return f"{self.global_admin}:{self.local_data1}:{self.local_data2}"

@@ -26,10 +26,3 @@ class MalformedAsnError(BgpError, ValueError):
 class MalformedAsPathError(BgpError, ValueError):
     """An AS_PATH attribute is empty, malformed, or inconsistent."""
 
-
-class MessageDecodeError(BgpError, ValueError):
-    """A BGP wire message could not be decoded."""
-
-
-class MessageEncodeError(BgpError, ValueError):
-    """A BGP message could not be encoded to the wire format."""

@@ -9,7 +9,6 @@ from .sanitation import (
     sanitise_many,
     sanitise_store,
 )
-from . import mrt
 from .campaign import (
     CampaignConfig,
     CampaignReport,
@@ -49,7 +48,7 @@ from .store import QUARANTINE_DIR, REPORTS_DIR, DatasetStore
 
 __all__ = [
     "Snapshot", "snapshots_sorted", "DatasetStore",
-    "SnapshotScraper", "ScrapeReport", "mrt",
+    "SnapshotScraper", "ScrapeReport",
     "CollectionCampaign", "CampaignConfig", "CampaignTarget",
     "CampaignReport", "TargetReport", "PeerFailure",
     "install_shutdown_handlers",

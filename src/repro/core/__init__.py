@@ -17,7 +17,6 @@ from . import (
     prevalence,
     stability,
     summary,
-    temporal,
     usage,
 )
 from .aggregate import SnapshotAggregate, aggregate_snapshot
@@ -41,6 +40,6 @@ __all__ = [
     "PlanResult", "aggregate_cache_key", "run_plans",
     "format_table", "paper_vs_measured", "percent", "render_share_bars",
     "prevalence", "usage", "favorites", "ineffective", "summary",
-    "stability", "nonstandard", "export", "temporal", "overhead",
+    "stability", "nonstandard", "export", "overhead",
     "hygiene", "blackholing",
 ]

@@ -12,7 +12,6 @@ from .dictionary import (
     Semantics,
     rule_from_dict,
 )
-from .docparser import parse_documentation, render_documentation
 from .member import Member, MemberRole
 from .profiles import (
     ALL_IXPS,
@@ -36,5 +35,4 @@ __all__ = [
     "IxpProfile", "CategoryUsage", "PROFILES", "ALL_IXPS", "LARGE_FOUR",
     "get_profile", "all_profiles", "large_profiles",
     "dictionary_for", "dictionary_pair_for", "spec_for",
-    "parse_documentation", "render_documentation",
 ]

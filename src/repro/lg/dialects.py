@@ -13,16 +13,24 @@ to unify them. This module models that heterogeneity:
 plus translators mapping every dialect's payloads to the common
 client-side types (:class:`~repro.lg.api.NeighborSummary`, routes), so
 the scraper works unchanged against either.
+
+The translators are the one place where both LG clients turn untrusted
+JSON into typed values. A payload that decodes but has the wrong shape
+or an unparseable field raises :class:`~repro.lg.client.MalformedPayloadError`,
+so it lands in the ``malformed_payload`` failure class like truncated
+JSON does.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence
+import functools
+from typing import Any, Callable, Dict, List, Sequence, TypeVar
 
 from ..bgp.aspath import AsPath
 from ..bgp.communities import parse_community
 from ..bgp.route import Route
 from . import api
+from .client import MalformedPayloadError
 
 DIALECT_ALICE = "alice"
 DIALECT_BIRDSEYE = "birdseye"
@@ -30,7 +38,7 @@ DIALECTS = (DIALECT_ALICE, DIALECT_BIRDSEYE)
 
 
 class DialectError(ValueError):
-    """Unknown dialect or untranslatable payload."""
+    """Unknown dialect."""
 
 
 # -- birdseye rendering (server side) -----------------------------------
@@ -89,64 +97,87 @@ def birdseye_routes(routes: Sequence[Route], page: int, page_size: int,
 
 # -- translation (client side) ------------------------------------------
 
+_T = TypeVar("_T")
 
+#: what a decoded payload of the wrong shape raises while it is read:
+#: ``[].get`` (AttributeError), a missing key, a non-iterable or
+#: non-subscriptable value, and every int()/prefix/community/AS-path
+#: parse failure (ValueError, which the bgp parse errors subclass).
+_SHAPE_ERRORS = (AttributeError, KeyError, TypeError, ValueError)
+
+
+def _payload_parser(what: str) -> Callable[[Callable[[Any, str], _T]],
+                                           Callable[[Any, str], _T]]:
+    """Check the dialect, then map any shape error raised while reading
+    the payload to :class:`MalformedPayloadError`."""
+    def wrap(parse: Callable[[Any, str], _T]) -> Callable[[Any, str], _T]:
+        @functools.wraps(parse)
+        def guarded(payload: Any, dialect: str) -> _T:
+            if dialect not in DIALECTS:
+                raise DialectError(f"unknown dialect {dialect!r}")
+            try:
+                return parse(payload, dialect)
+            except _SHAPE_ERRORS as error:
+                raise MalformedPayloadError(
+                    f"malformed {what} payload "
+                    f"({type(error).__name__}: {error})") from error
+        return guarded
+    return wrap
+
+
+@_payload_parser("neighbors")
 def parse_neighbors(payload: Dict[str, Any],
                     dialect: str) -> List[api.NeighborSummary]:
     """Normalise a neighbors payload from any dialect."""
     if dialect == DIALECT_ALICE:
         return [api.NeighborSummary.from_dict(row)
                 for row in payload.get("neighbors", ())]
-    if dialect == DIALECT_BIRDSEYE:
-        summaries = []
-        for _key, protocol in sorted(payload.get("protocols",
-                                                 {}).items()):
-            summaries.append(api.NeighborSummary(
-                asn=int(protocol["neighbor_as"]),
-                name=str(protocol.get("description",
-                                      f"AS{protocol['neighbor_as']}")),
-                state=("Established" if protocol.get("state") == "up"
-                       else "Idle"),
-                routes_accepted=int(protocol.get("routes_imported", 0)),
-                routes_filtered=int(protocol.get("routes_filtered", 0)),
-            ))
-        return summaries
-    raise DialectError(f"unknown dialect {dialect!r}")
+    summaries = []
+    for _key, protocol in sorted(payload.get("protocols", {}).items()):
+        summaries.append(api.NeighborSummary(
+            asn=int(protocol["neighbor_as"]),
+            name=str(protocol.get("description",
+                                  f"AS{protocol['neighbor_as']}")),
+            state=("Established" if protocol.get("state") == "up"
+                   else "Idle"),
+            routes_accepted=int(protocol.get("routes_imported", 0)),
+            routes_filtered=int(protocol.get("routes_filtered", 0)),
+        ))
+    return summaries
 
 
+@_payload_parser("routes")
 def parse_routes(payload: Dict[str, Any], dialect: str) -> List[Route]:
     """Normalise a routes page from any dialect."""
     if dialect == DIALECT_ALICE:
         return api.parse_routes_page(payload)
-    if dialect == DIALECT_BIRDSEYE:
-        routes = []
-        for row in payload.get("routes", ()):
-            bgp = row.get("bgp", {})
-            peer_asn = int(str(row.get("from_protocol",
-                                       "pb_0")).rpartition("_")[2])
-            routes.append(Route(
-                prefix=row["network"],
-                next_hop=row["gateway"],
-                as_path=AsPath.from_asns(
-                    [int(asn) for asn in bgp.get("as_path", ())]),
-                peer_asn=peer_asn,
-                communities=frozenset(
-                    parse_community(f"{a}:{b}")
-                    for a, b in bgp.get("communities", ())),
-                extended_communities=frozenset(
-                    parse_community(text)
-                    for text in bgp.get("ext_communities", ())),
-                large_communities=frozenset(
-                    parse_community(f"{a}:{b}:{c}")
-                    for a, b, c in bgp.get("large_communities", ())),
-            ))
-        return routes
-    raise DialectError(f"unknown dialect {dialect!r}")
+    routes = []
+    for row in payload.get("routes", ()):
+        bgp = row.get("bgp", {})
+        peer_asn = int(str(row.get("from_protocol",
+                                   "pb_0")).rpartition("_")[2])
+        routes.append(Route(
+            prefix=row["network"],
+            next_hop=row["gateway"],
+            as_path=AsPath.from_asns(
+                [int(asn) for asn in bgp.get("as_path", ())]),
+            peer_asn=peer_asn,
+            communities=frozenset(
+                parse_community(f"{a}:{b}")
+                for a, b in bgp.get("communities", ())),
+            extended_communities=frozenset(
+                parse_community(text)
+                for text in bgp.get("ext_communities", ())),
+            large_communities=frozenset(
+                parse_community(f"{a}:{b}:{c}")
+                for a, b, c in bgp.get("large_communities", ())),
+        ))
+    return routes
 
 
+@_payload_parser("pagination")
 def total_pages(payload: Dict[str, Any], dialect: str) -> int:
     if dialect == DIALECT_ALICE:
         return api.total_pages(payload)
-    if dialect == DIALECT_BIRDSEYE:
-        return int(payload.get("api", {}).get("pagination",
-                                              {}).get("total_pages", 1))
-    raise DialectError(f"unknown dialect {dialect!r}")
+    return int(payload.get("api", {}).get("pagination",
+                                          {}).get("total_pages", 1))

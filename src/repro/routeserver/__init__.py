@@ -16,13 +16,11 @@ from .filters import (
 from .policy import PolicyEngine, RoutePolicy
 from .rib import AdjRibIn, RibStore
 from .server import PeerSession, RouteServer
-from .updates import build_updates, build_withdrawals, replay_export
 
 __all__ = [
     "RouteServer", "RouteServerConfig", "PeerSession",
     "FilterChain", "FilterVerdict", "PolicyEngine", "RoutePolicy",
     "AdjRibIn", "RibStore",
-    "build_updates", "build_withdrawals", "replay_export",
     "WrongFamilyFilter", "BogonPrefixFilter", "BogonAsnFilter",
     "PathLengthFilter", "PathLoopFilter", "PrefixLengthFilter",
     "PeerAsFilter", "MaxCommunitiesFilter",

@@ -9,7 +9,7 @@ the server from accepted routes + policy; it is not materialised here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from ..bgp.route import Route
 
@@ -19,8 +19,7 @@ class AdjRibIn:
     """Per-peer received routes, keyed by prefix.
 
     A peer announces at most one route per prefix to the RS (one session),
-    so the key is the prefix alone. Re-announcing replaces; withdrawing
-    removes.
+    so the key is the prefix alone. Re-announcing replaces.
     """
 
     peer_asn: int
@@ -38,11 +37,6 @@ class AdjRibIn:
             self._filtered[route.prefix] = route
         else:
             self._accepted[route.prefix] = route
-
-    def withdraw(self, prefix: str) -> Optional[Route]:
-        """Remove the route for *prefix*; returns it if present."""
-        return (self._accepted.pop(prefix, None)
-                or self._filtered.pop(prefix, None))
 
     def accepted(self) -> List[Route]:
         return list(self._accepted.values())

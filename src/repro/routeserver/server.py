@@ -1,11 +1,10 @@
 """The route server itself (RFC 7947 multilateral peering).
 
 Ties together the import :class:`FilterChain`, the action-community
-:class:`PolicyEngine`, and the :class:`RibStore`. Peers announce routes
-(either as :class:`~repro.bgp.route.Route` objects or as encoded BGP
-UPDATE messages); the server filters, stamps informational communities,
-stores, and can compute per-peer export views with action semantics
-applied and action communities scrubbed.
+:class:`PolicyEngine`, and the :class:`RibStore`. Peers announce
+:class:`~repro.bgp.route.Route` objects; the server filters, stamps
+informational communities, stores, and can compute per-peer export
+views with action semantics applied and action communities scrubbed.
 
 The Looking Glass reads the server through :meth:`peers_summary` and
 :meth:`accepted_routes` / :meth:`filtered_routes` — the same two route
@@ -16,10 +15,9 @@ from __future__ import annotations
 
 import types
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .. import obs
-from ..bgp.messages import UpdateMessage
 from ..bgp.route import Route
 from ..ixp.member import Member
 from ..utils import stable_fraction
@@ -38,12 +36,6 @@ _METRICS = obs.MetricSet(lambda reg: types.SimpleNamespace(
     accepted=reg.counter(
         "repro_routeserver_routes_accepted_total",
         "Announcements accepted into the Adj-RIB-In").labels(),
-    updates=reg.counter(
-        "repro_routeserver_updates_total",
-        "Encoded BGP UPDATE messages decoded and applied").labels(),
-    withdrawals=reg.counter(
-        "repro_routeserver_withdrawals_total",
-        "Prefix withdrawals processed").labels(),
     rib_routes=reg.gauge(
         "repro_routeserver_rib_routes",
         "Adj-RIB-In size per peer (refreshed on summary reads, "
@@ -123,42 +115,6 @@ class RouteServer:
         self._ribs.rib_for(route.peer_asn).insert(stored)
         self._policy_cache.pop((route.peer_asn, route.prefix), None)
         return stored
-
-    def announce_update(self, peer_asn: int, blob: bytes) -> List[Route]:
-        """Process an encoded BGP UPDATE from *peer_asn*.
-
-        Withdrawn prefixes are removed; each NLRI becomes an announced
-        route. Returns the stored routes.
-        """
-        _METRICS().updates.inc()
-        update = UpdateMessage.decode(blob)
-        for prefix in update.withdrawn + update.mp_withdrawn:
-            self.withdraw(peer_asn, prefix)
-        stored: List[Route] = []
-        nlri: List[Tuple[str, Optional[str]]] = (
-            [(p, update.next_hop) for p in update.nlri]
-            + [(p, update.mp_next_hop) for p in update.mp_nlri])
-        for prefix, next_hop in nlri:
-            if update.as_path is None or next_hop is None:
-                raise ValueError("UPDATE with NLRI lacks AS_PATH/NEXT_HOP")
-            route = Route(
-                prefix=prefix,
-                next_hop=next_hop,
-                as_path=update.as_path,
-                peer_asn=peer_asn,
-                communities=frozenset(update.communities),
-                extended_communities=frozenset(update.extended_communities),
-                large_communities=frozenset(update.large_communities),
-            )
-            stored.append(self.announce(route))
-        return stored
-
-    def withdraw(self, peer_asn: int, prefix: str) -> Optional[Route]:
-        _METRICS().withdrawals.inc()
-        self._policy_cache.pop((peer_asn, prefix), None)
-        if peer_asn in self._sessions:
-            return self._ribs.rib_for(peer_asn).withdraw(prefix)
-        return None
 
     def _stamp_informational(self, route: Route) -> Route:
         """Add the RS's informational tags (RS behaviour per §5.1: "the

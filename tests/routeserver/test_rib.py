@@ -38,14 +38,6 @@ class TestAdjRibIn:
         rib.insert(route("20.0.0.0/16"))
         assert rib.accepted_count == 1
 
-    def test_withdraw(self):
-        rib = AdjRibIn(64500)
-        rib.insert(route("20.0.0.0/16"))
-        withdrawn = rib.withdraw("20.0.0.0/16")
-        assert withdrawn is not None
-        assert rib.accepted_count == 0
-        assert rib.withdraw("20.0.0.0/16") is None
-
     def test_wrong_peer_rejected(self):
         rib = AdjRibIn(64500)
         with pytest.raises(ValueError):

@@ -4,7 +4,6 @@ import pytest
 
 from repro.bgp.aspath import AsPath
 from repro.bgp.communities import standard
-from repro.bgp.messages import UpdateMessage
 from repro.bgp.route import Route
 from repro.ixp import dictionary_for, get_profile
 from repro.ixp.member import Member, MemberRole
@@ -66,11 +65,6 @@ class TestAnnouncements:
         assert stored in server.filtered_routes(60500)
         assert stored not in server.accepted_routes(60500)
 
-    def test_withdraw(self, server):
-        announce(server, 60500, "20.0.0.0/16")
-        assert server.withdraw(60500, "20.0.0.0/16") is not None
-        assert server.accepted_routes(60500) == []
-
     def test_statistics(self, server):
         announce(server, 60500, "20.0.0.0/16")
         announce(server, 60501, "20.0.0.0/16")
@@ -84,25 +78,6 @@ class TestAnnouncements:
         rows = {row["asn"]: row for row in server.peers_summary()}
         assert rows[60500]["routes_accepted"] == 1
         assert rows[60500]["state"] == "Established"
-
-
-class TestWireAnnouncements:
-    def test_announce_update_blob(self, server):
-        update = UpdateMessage(
-            nlri=["20.5.0.0/16"], origin=0,
-            as_path=AsPath.from_asns([60500]),
-            next_hop="80.81.192.10",
-            communities=(standard(0, 6939),))
-        stored = server.announce_update(60500, update.encode())
-        assert len(stored) == 1
-        assert not stored[0].filtered
-        assert standard(0, 6939) in stored[0].communities
-
-    def test_update_withdraw(self, server):
-        announce(server, 60500, "20.6.0.0/16")
-        update = UpdateMessage(withdrawn=["20.6.0.0/16"])
-        server.announce_update(60500, update.encode())
-        assert server.accepted_routes(60500) == []
 
 
 class TestExport:

@@ -1,6 +1,7 @@
 """Smoke tests for the public package surface."""
 
 import importlib
+import pkgutil
 
 import pytest
 
@@ -28,10 +29,18 @@ class TestSubpackages:
         "repro.routeserver", "repro.lg", "repro.workload",
         "repro.collector", "repro.core", "repro.cli", "repro.utils",
         "repro.core.nonstandard", "repro.core.export",
-        "repro.bgp.session", "repro.bgp.open",
     ])
     def test_importable(self, module):
         importlib.import_module(module)
+
+    def test_every_module_imports(self):
+        # a leftover import of a deleted module fails here, not at
+        # the first caller that happens to reach it
+        names = [info.name for info in pkgutil.walk_packages(
+            repro.__path__, "repro.")]
+        assert "repro.core.pipeline" in names
+        for name in names:
+            importlib.import_module(name)
 
     @pytest.mark.parametrize("module", [
         "repro.bgp", "repro.ixp", "repro.routeserver", "repro.lg",
