@@ -3,8 +3,7 @@ usage of IXPs' action BGP communities" (CoNEXT '22).
 
 The package is layered bottom-up:
 
-* :mod:`repro.bgp` — BGP data model (communities, AS paths, routes,
-  UPDATE wire codec);
+* :mod:`repro.bgp` — BGP data model (communities, AS paths, routes);
 * :mod:`repro.ixp` — IXP substrate (members, community dictionaries,
   the eight studied IXPs' schemes and profiles);
 * :mod:`repro.routeserver` — an RFC 7947 route-server simulator with

@@ -163,6 +163,10 @@ class ClientStats:
     rate_limited: int = 0
     server_errors: int = 0
     timeouts: int = 0
+    #: attempts whose body was not valid JSON (retried like the buckets
+    #: above). A decoded body of the wrong shape is not a request
+    #: failure: it fails the peer or target in the dialect translators
+    #: and is counted there, as a ``malformed_payload`` outcome.
     malformed: int = 0
     #: definitive 4xx answers — "the LG said no", as opposed to the
     #: transport-loss buckets above (campaign reports distinguish them).

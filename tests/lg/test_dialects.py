@@ -5,7 +5,12 @@ import pytest
 from repro.bgp.aspath import AsPath
 from repro.bgp.communities import ExtendedCommunity, large, standard
 from repro.bgp.route import Route
-from repro.lg import LookingGlassClient, LookingGlassError, LookingGlassServer
+from repro.lg import (
+    LookingGlassClient,
+    LookingGlassError,
+    LookingGlassServer,
+    MalformedPayloadError,
+)
 from repro.lg.dialects import (
     DIALECT_ALICE,
     DIALECT_BIRDSEYE,
@@ -72,6 +77,22 @@ class TestTranslation:
         payload = api.routes_payload([route], 1, 10, 1, False)
         assert parse_routes(payload, DIALECT_ALICE)[0] == route
         assert total_pages(payload, DIALECT_ALICE) == 1
+
+    @pytest.mark.parametrize("parse,payload", [
+        (parse_neighbors,
+         {"protocols": {"pb_60001": {"description": "X"}}}),
+        (parse_neighbors, {"protocols": []}),
+        (parse_routes, {"routes": [{
+            "network": "20.0.0.0/16", "gateway": "193.178.185.10",
+            "bgp": {"large_communities": [[16374, 0]]},
+            "from_protocol": "pb_60001"}]}),
+        (total_pages, {"api": {"pagination": {"total_pages": "many"}}}),
+    ], ids=["protocol-without-neighbor-as", "protocols-list",
+            "large-community-two-fields", "total-pages-not-a-number"])
+    def test_birdseye_wrong_shape_is_malformed(self, parse, payload):
+        with pytest.raises(MalformedPayloadError) as caught:
+            parse(payload, DIALECT_BIRDSEYE)
+        assert caught.value.failure_class == "malformed_payload"
 
     def test_unknown_dialect(self):
         with pytest.raises(DialectError):
