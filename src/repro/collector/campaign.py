@@ -19,8 +19,10 @@ multi-(IXP, family) scraping with
   is persisted through :class:`~repro.collector.store.DatasetStore`,
   so a crashed or deadline-parked campaign re-run with ``resume=True``
   picks up at the first un-collected peer without re-fetching anything.
-  Each peer is JSON-encoded once and reused by every later checkpoint
-  (see :class:`_PeerLedger`);
+  The checkpoint is an append-only journal
+  (:mod:`repro.collector.journal`): each flush writes only the peers
+  gained since the previous one, each peer encoded once (see
+  :class:`_PeerLedger`);
 * **circuit breakers** — one per (ixp, family) mount (via
   :class:`~repro.lg.breaker.BreakerRegistry`), so a dead LG is probed,
   not hammered — refusals surface as their own ``breaker_open``
@@ -36,9 +38,9 @@ multi-(IXP, family) scraping with
   A second signal falls through to the previous handler (a hard stop
   for an operator mashing Ctrl-C);
 * **crash-safety** — every store write is atomic and checksummed
-  (see :mod:`repro.collector.integrity`); a corrupt checkpoint found
-  during resume is quarantined by the store and the target restarts
-  from scratch instead of dying;
+  (see :mod:`repro.collector.integrity`); resume keeps the verified
+  prefix of a checkpoint journal, the store quarantines a damaged tail,
+  and only the peers in it are fetched again;
 * **one concurrent engine** — peers are fetched either serially
   through the sync client (``io="serial"``, the default: the paper's
   sequential single-connection discipline and the reference the
@@ -63,7 +65,9 @@ import time
 import types
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from pathlib import Path
+from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
+                    Tuple)
 
 from .. import obs
 from ..bgp.route import Route, RouteDecodeMemo
@@ -78,12 +82,14 @@ from ..lg.client import (
     LookingGlassError,
     TransientError,
 )
-from .integrity import EncodedJSON, IntegrityError
+from .integrity import EncodedJSON, IntegrityError, QuarantineRecord
 from .scraper import utc_today
 from .snapshot import Snapshot
 from .store import DatasetStore
 
-CHECKPOINT_VERSION = 1
+#: version 2: checkpoints are segment journals. A version-1 single
+#: file is discarded at resume (``version_drift``).
+CHECKPOINT_VERSION = 2
 
 _METRICS = obs.MetricSet(lambda reg: types.SimpleNamespace(
     peers=reg.counter(
@@ -101,6 +107,10 @@ _METRICS = obs.MetricSet(lambda reg: types.SimpleNamespace(
         "repro_campaign_checkpoints_rejected_total",
         "Parked checkpoints discarded at resume instead of merged",
         ("ixp", "family", "reason")),
+    segments_dropped=reg.counter(
+        "repro_campaign_checkpoint_segments_dropped_total",
+        "Checkpoint journal segments quarantined at resume, after the "
+        "verified prefix", ("ixp", "family", "reason")),
     resumes=reg.counter(
         "repro_campaign_resume_total",
         "Targets restarted from a checkpoint", ("ixp", "family")),
@@ -210,42 +220,40 @@ class _LedgerPeer:
     """One collected peer of a target. A peer collected in this run
     keeps its parsed LG routes; a peer resumed from a checkpoint keeps
     its checkpoint entry instead, decoded only when the snapshot is
-    built. Either is encoded once, at the first checkpoint flush that
-    includes it."""
+    built."""
 
     name: str
     filtered: int
     routes: Optional[List[Route]] = None
     record: Optional[Dict[str, Any]] = None
-    encoded: Optional[EncodedJSON] = None
 
     def encode(self) -> EncodedJSON:
-        """The checkpoint entry, encoded on first use."""
-        if self.encoded is None:
-            record = self.record
-            if record is None:
-                # a transient dict: the route dicts are dropped once
-                # encoded, so memory stays at the parsed routes.
-                record = {
-                    "routes": [route.to_dict() for route in self.routes],
-                    "filtered": self.filtered,
-                    "name": self.name,
-                }
-            self.encoded = EncodedJSON.of(record)
-        return self.encoded
+        """The checkpoint entry of a peer collected in this run. The
+        route dicts are transient, so memory stays at the parsed
+        routes."""
+        return EncodedJSON.of({
+            "routes": [route.to_dict() for route in self.routes],
+            "filtered": self.filtered,
+            "name": self.name,
+        })
 
 
 class _PeerLedger:
     """The peers of one target collected so far, keyed by ASN string:
-    what every checkpoint and the final snapshot are built from.
+    what every checkpoint segment and the final snapshot are built
+    from.
 
-    A checkpoint flush splices the peers' cached encodings together
-    rather than re-encoding every peer collected so far, so each flush
-    costs the same JSON work however many came before it.
+    A checkpoint flush appends one journal segment holding only what
+    was collected (and lost) since the previous flush, so each peer is
+    encoded exactly once and a flush costs the same however many peers
+    came before it. Peers resumed from a checkpoint are in the journal
+    already and are never encoded again.
     """
 
     def __init__(self) -> None:
         self._peers: Dict[str, _LedgerPeer] = {}
+        self._unflushed: Set[str] = set()
+        self._failures_flushed = 0
 
     def __len__(self) -> int:
         return len(self._peers)
@@ -264,20 +272,33 @@ class _PeerLedger:
     def collect(self, neighbor: NeighborSummary,
                 routes: List[Route]) -> None:
         """Record a peer collected in this run."""
-        self._peers[str(neighbor.asn)] = _LedgerPeer(
+        asn = str(neighbor.asn)
+        self._peers[asn] = _LedgerPeer(
             name=neighbor.name, filtered=neighbor.routes_filtered,
             routes=routes)
+        self._unflushed.add(asn)
 
     def in_asn_order(self) -> List[Tuple[str, _LedgerPeer]]:
         return [(asn, self._peers[asn])
                 for asn in sorted(self._peers, key=int)]
 
-    def encoded(self) -> EncodedJSON:
-        """The checkpoint's ``peers`` object. ASN-sorted, so checkpoint
-        bytes do not depend on fetch completion order under the async
-        engine."""
-        return EncodedJSON.of_object({asn: peer.encode()
-                                   for asn, peer in self.in_asn_order()})
+    def segment(self, failures: Sequence[PeerFailure]) -> Dict[str, Any]:
+        """The ``peers`` and ``failures`` of the next checkpoint
+        segment: what *failures* and the ledger gained since the last
+        :meth:`flushed`. Each is ASN-sorted, so segment bytes do not
+        depend on fetch completion order under the async engine."""
+        return {
+            "peers": EncodedJSON.of_object({
+                asn: self._peers[asn].encode()
+                for asn in sorted(self._unflushed, key=int)}),
+            "failures": [f.to_dict() for f in sorted(
+                failures[self._failures_flushed:], key=lambda f: f.asn)],
+        }
+
+    def flushed(self, failures: Sequence[PeerFailure]) -> None:
+        """The last :meth:`segment` is on disk."""
+        self._unflushed.clear()
+        self._failures_flushed = len(failures)
 
 
 @dataclass
@@ -303,7 +324,8 @@ class TargetReport:
     breaker_opens: int = 0
     elapsed: float = 0.0
     #: why a parked checkpoint was discarded at resume instead of
-    #: merged (e.g. ``dictionary_drift``); None when none was.
+    #: merged (``version_drift`` or ``dictionary_drift``); None when
+    #: none was.
     checkpoint_discarded: Optional[str] = None
 
     @property
@@ -529,36 +551,16 @@ class CollectionCampaign:
         started = self.clock()
         if resume and self.store.has_snapshot(
                 target.ixp, target.family, captured_on):
+            # a crash between publishing the snapshot and deleting the
+            # journal leaves one behind; nothing can resume from it.
+            self.store.delete_checkpoint(
+                target.ixp, target.family, captured_on)
             report.status = STATUS_ALREADY_COLLECTED
             return report
 
         ledger = _PeerLedger()
         if resume:
-            checkpoint = self.store.load_checkpoint(
-                target.ixp, target.family, captured_on)
-            if checkpoint and checkpoint.get("version") == \
-                    CHECKPOINT_VERSION:
-                if self._checkpoint_scheme_drifted(target, checkpoint):
-                    # the community scheme changed while the target was
-                    # parked: the checkpointed routes were interpreted
-                    # under the old dictionary, so merging them would
-                    # mix schemes inside one snapshot. Restart clean.
-                    self.store.delete_checkpoint(
-                        target.ixp, target.family, captured_on)
-                    report.checkpoint_discarded = "dictionary_drift"
-                    _METRICS().checkpoints_rejected.labels(
-                        target.ixp, str(target.family),
-                        "dictionary_drift").inc()
-                else:
-                    ledger.resume(checkpoint.get("peers", {}))
-                    report.peers_resumed = len(ledger)
-                    if ledger:
-                        metrics = _METRICS()
-                        metrics.resumes.labels(
-                            target.ixp, str(target.family)).inc()
-                        metrics.peers.labels(
-                            target.ixp, str(target.family),
-                            "resumed").inc(len(ledger))
+            self._resume_checkpoint(target, captured_on, ledger, report)
         else:
             self.store.delete_checkpoint(
                 target.ixp, target.family, captured_on)
@@ -604,6 +606,41 @@ class CollectionCampaign:
         return report
 
     # -- helpers ---------------------------------------------------------
+
+    def _resume_checkpoint(self, target: CampaignTarget,
+                           captured_on: str, ledger: _PeerLedger,
+                           report: TargetReport) -> None:
+        """Seed the ledger from the target's parked checkpoint, or
+        discard a checkpoint that cannot be merged."""
+        metrics = _METRICS()
+        mount = (target.ixp, str(target.family))
+        dropped: List[QuarantineRecord] = []
+        checkpoint = self.store.load_checkpoint(
+            target.ixp, target.family, captured_on, dropped=dropped)
+        for record in dropped:
+            metrics.segments_dropped.labels(
+                *mount, record.damage_class).inc()
+        if not checkpoint:
+            return
+        if checkpoint.get("version") != CHECKPOINT_VERSION:
+            discarded = "version_drift"
+        elif self._checkpoint_scheme_drifted(target, checkpoint):
+            # the community scheme changed while the target was parked:
+            # the checkpointed routes were interpreted under the old
+            # dictionary, so merging them would mix schemes inside one
+            # snapshot. Restart clean.
+            discarded = "dictionary_drift"
+        else:
+            ledger.resume(checkpoint.get("peers", {}))
+            report.peers_resumed = len(ledger)
+            if ledger:
+                metrics.resumes.labels(*mount).inc()
+                metrics.peers.labels(*mount, "resumed").inc(len(ledger))
+            return
+        self.store.delete_checkpoint(target.ixp, target.family,
+                                     captured_on)
+        report.checkpoint_discarded = discarded
+        metrics.checkpoints_rejected.labels(*mount, discarded).inc()
 
     def _deadline_exceeded(self, started: float) -> bool:
         deadline = self.config.snapshot_deadline
@@ -860,7 +897,9 @@ class CollectionCampaign:
 
     def _save_checkpoint(self, target: CampaignTarget, captured_on: str,
                          ledger: _PeerLedger,
-                         report: TargetReport) -> None:
+                         report: TargetReport) -> Path:
+        """Append what the target gained since the last flush to its
+        checkpoint journal; returns the segment's path."""
         payload: Dict[str, Any] = {
             "version": CHECKPOINT_VERSION,
             "ixp": target.ixp,
@@ -869,18 +908,17 @@ class CollectionCampaign:
             # the community scheme this progress was interpreted under;
             # resume refuses to merge across a scheme change.
             "dictionary_digest": self._dictionary_digest(target.ixp),
-            "peers": ledger.encoded(),
-            "failures": [f.to_dict() for f in
-                         sorted(report.failures, key=lambda f: f.asn)],
+            **ledger.segment(report.failures),
         }
         if obs.enabled():
             # a parked checkpoint carries the metrics that explain it
             payload["metrics"] = obs.snapshot()
-        self.store.save_checkpoint(
-            target.ixp, target.family, captured_on,
-            EncodedJSON.of_object(payload))
+        path = self.store.save_checkpoint(
+            target.ixp, target.family, captured_on, payload)
+        ledger.flushed(report.failures)
         _METRICS().checkpoints.labels(
             target.ixp, str(target.family)).inc()
+        return path
 
     def _build_snapshot(self, target: CampaignTarget, captured_on: str,
                         ledger: _PeerLedger,

@@ -874,7 +874,8 @@ class DispatchWorker:
         """Carry a dead predecessor's progress forward: the newest
         verified checkpoint among lower-token staging dirs seeds this
         claim's store, so re-collection resumes at the first
-        un-collected peer instead of from scratch."""
+        un-collected peer instead of from scratch. The predecessor's
+        journal is replayed and written here as one genesis segment."""
         for token in range(lease.token - 1, 0, -1):
             old_root = self._staging_root(unit, token)
             if not old_root.is_dir():

@@ -4,6 +4,8 @@ Walks every artefact in a :class:`~repro.collector.store.DatasetStore`
 — snapshots, checkpoints, dictionaries, run reports, and the manifests
 themselves — and verifies each one both ways: the file against its
 embedded envelope digest, and the file against its manifest entry.
+Checkpoint journals (:mod:`repro.collector.journal`) have no manifest
+entries; each is verified as a chain instead.
 
 Findings are classified with the shared damage taxonomy
 (:mod:`repro.collector.integrity`):
@@ -22,6 +24,13 @@ class                     meaning
                           manifest publish)
 ``missing_file``          a manifest entry whose file is gone
 ``orphan_temp``           ``*.tmp`` debris from an interrupted write
+``orphaned_dispatch``     lease or staging dirs idle past the reclaim
+                          age
+``torn_segment``          a checkpoint journal segment that fails
+                          verification or breaks the chain (and every
+                          segment after it)
+``orphan_segment``        journal segments with no valid genesis, or a
+                          journal beside its published snapshot
 ========================  ==============================================
 
 With ``repair=True`` damaged files are **quarantined, never deleted**,
@@ -40,12 +49,14 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from .. import obs
+from . import journal
 from .integrity import (
     DAMAGE_CHECKSUM,
     DAMAGE_CLASSES,
     DAMAGE_MANIFEST_DRIFT,
     DAMAGE_MISSING_ENTRY,
     DAMAGE_MISSING_FILE,
+    DAMAGE_ORPHAN_SEGMENT,
     DAMAGE_ORPHAN_TEMP,
     DAMAGE_ORPHANED,
     IntegrityError,
@@ -164,6 +175,10 @@ def _classify_path(scope_name: str, path: Path) -> Optional[
         return ("report", False) if name.endswith(".json") else None
     if name == "dictionary.json":
         return "dictionary", False
+    if journal.is_segment(path):
+        # checked before the generic snapshot rule: segments share the
+        # .json.gz extension and are verified per journal.
+        return "segment", True
     if name.endswith(CHECKPOINT_SUFFIX):
         return "checkpoint", True
     if name.endswith(AGGREGATE_SUFFIX):
@@ -227,6 +242,7 @@ def _fsck_scope(store: DatasetStore, scope: Path, report: FsckReport,
 
     seen: Dict[str, Tuple[str, int, str]] = {}
     present: set = set()
+    journals: set = set()
     for path in sorted(p for p in scope.rglob("*") if p.is_file()):
         if path.name == MANIFEST_NAME:
             continue
@@ -249,6 +265,9 @@ def _fsck_scope(store: DatasetStore, scope: Path, report: FsckReport,
         if classified is None:
             continue  # not an artefact this store manages
         kind, gz = classified
+        if kind == "segment":
+            journals.add(path.parent)
+            continue
         present.add(rel_scope)
         report.scanned += 1
         try:
@@ -314,6 +333,9 @@ def _fsck_scope(store: DatasetStore, scope: Path, report: FsckReport,
         else:
             report.verified += 1
 
+    for directory in sorted(journals):
+        _fsck_journal(store, directory, report, repair)
+
     for rel_scope in sorted(set(manifest.entries) - present):
         entry = manifest.entries[rel_scope]
         finding = FsckFinding(
@@ -334,6 +356,57 @@ def _fsck_scope(store: DatasetStore, scope: Path, report: FsckReport,
             for rel_scope, (digest, size, kind) in seen.items():
                 manifest.record(rel_scope, digest, size, kind)
         manifest.save()
+
+
+def _fsck_journal(store: DatasetStore, directory: Path,
+                  report: FsckReport, repair: bool) -> None:
+    """Verify one checkpoint journal as a chain: its verified prefix
+    is healthy unless the snapshot it was building is published."""
+    def read(path: Path) -> Tuple[Dict[str, Any], str]:
+        payload, digest, _self_verified = decode_artefact(
+            path.read_bytes(), kind="checkpoint", gz=True, path=path)
+        return payload, digest
+
+    replay = journal.replay(directory, read)
+    damaged = list(replay.dropped)
+    if _journal_snapshot_published(store, directory):
+        for path, _payload, _digest in replay.segments:
+            error = IntegrityError(
+                "journal beside its published snapshot", path)
+            error.damage_class = DAMAGE_ORPHAN_SEGMENT
+            damaged.append(error)
+    else:
+        report.verified += len(replay.segments)
+    report.scanned += len(replay.segments) + len(replay.dropped)
+    _METRICS().artefacts.labels("ok").inc(len(replay.segments))
+    _METRICS().artefacts.labels("failed").inc(len(replay.dropped))
+    for error in sorted(damaged, key=lambda e: str(e.path)):
+        finding = FsckFinding(
+            path=error.path.relative_to(store.root).as_posix(),
+            kind="checkpoint", damage_class=error.damage_class,
+            detail=str(error))
+        if repair:
+            store.quarantine(error.path, error)
+            finding.action = ACTION_QUARANTINED
+        report.findings.append(finding)
+    if repair and damaged:
+        try:
+            directory.rmdir()
+        except OSError:
+            pass  # other entries (temp debris) remain
+
+
+def _journal_snapshot_published(store: DatasetStore,
+                                 directory: Path) -> bool:
+    """Whether the snapshot a journal
+    (``<ixp>/v<family>/<date>.ckpt``) was building is published."""
+    ixp = directory.parent.parent.name
+    family = directory.parent.name[1:]
+    date = directory.name[:-len(journal.JOURNAL_SUFFIX)]
+    try:
+        return store.has_snapshot(ixp, int(family), date)
+    except ValueError:
+        return False
 
 
 # -- dispatch coordination state (leases/ + staging/) --------------------

@@ -61,11 +61,18 @@ DAMAGE_MANIFEST_DRIFT = "manifest_drift"
 DAMAGE_MISSING_FILE = "missing_file"
 DAMAGE_ORPHAN_TEMP = "orphan_temp"
 DAMAGE_ORPHANED = "orphaned_dispatch"
+#: a checkpoint journal segment that fails verification or does not
+#: chain onto the one before it (see :mod:`repro.collector.journal`).
+DAMAGE_TORN_SEGMENT = "torn_segment"
+#: journal segments nothing can resume from: no valid genesis, or the
+#: whole journal sits beside the snapshot it was building.
+DAMAGE_ORPHAN_SEGMENT = "orphan_segment"
 
 DAMAGE_CLASSES = (
     DAMAGE_TRUNCATED, DAMAGE_MALFORMED, DAMAGE_CHECKSUM, DAMAGE_SCHEMA,
     DAMAGE_MISSING_ENTRY, DAMAGE_MANIFEST_DRIFT, DAMAGE_MISSING_FILE,
-    DAMAGE_ORPHAN_TEMP, DAMAGE_ORPHANED,
+    DAMAGE_ORPHAN_TEMP, DAMAGE_ORPHANED, DAMAGE_TORN_SEGMENT,
+    DAMAGE_ORPHAN_SEGMENT,
 )
 
 #: top-level keys an artefact payload must carry, per kind — the

@@ -9,11 +9,13 @@ keeps the same two artefacts:
 * one JSON dictionary file per IXP under
   ``<root>/<ixp>/dictionary.json``,
 
-plus campaign checkpoints (``<date>.ckpt.json.gz``), observability run
-reports (``reports/*.json``), content-addressed aggregate-cache
-artefacts (``<ixp>/cache/<key>.agg.json.gz`` — see
-:mod:`repro.core.engine`), and a ``MANIFEST.json`` per IXP (and one
-for ``reports/``) recording every artefact's SHA-256.
+plus campaign checkpoint journals (``<date>.ckpt/<seq>.json.gz`` —
+see :mod:`repro.collector.journal`), observability run reports
+(``reports/*.json``), content-addressed aggregate-cache artefacts
+(``<ixp>/cache/<key>.agg.json.gz`` — see :mod:`repro.core.engine`),
+and a ``MANIFEST.json`` per IXP (and one for ``reports/``) recording
+every artefact's SHA-256 except journal segments, which the envelope
+digest and the journal's digest chain vouch for.
 
 Durability contract (see :mod:`repro.collector.integrity`):
 
@@ -26,8 +28,8 @@ Durability contract (see :mod:`repro.collector.integrity`):
   instead of raw tracebacks;
 * **self-healing** — a damaged artefact is moved (never deleted) to
   ``<root>/quarantine/`` with a machine-readable sidecar record;
-  iterators and ``latest_snapshot`` skip it, campaign resume falls
-  back to a from-scratch collection when its checkpoint is damaged,
+  iterators and ``latest_snapshot`` skip it, campaign resume keeps
+  the verified prefix of a checkpoint journal whose tail is damaged,
   and ``repro-study fsck`` (:mod:`repro.collector.fsck`) audits and
   repairs whole stores.
 
@@ -64,9 +66,11 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 from .. import obs
 from ..io.faultfs import StorageUnavailable, active_fs, with_fs_retries
 from ..ixp.dictionary import CommunityDictionary
+from . import journal
 from .integrity import (
     ChecksumMismatchError,
     CrashSchedule,
+    EncodedJSON,
     IntegrityError,
     QuarantineRecord,
     SchemaDriftError,
@@ -74,12 +78,13 @@ from .integrity import (
     atomic_write,
     decode_artefact,
     encode_artefact,
+    fsync_directory,
 )
 from .manifest import MANIFEST_NAME, Manifest, _utcnow
 from .snapshot import Snapshot
 
-#: suffix distinguishing in-progress campaign checkpoints from
-#: finished snapshots in the same directory.
+#: suffix of the single-file checkpoints older versions wrote; resume
+#: discards them (``version_drift``).
 CHECKPOINT_SUFFIX = ".ckpt.json.gz"
 
 #: suffix of content-addressed aggregate-cache artefacts, stored under
@@ -160,6 +165,8 @@ class DatasetStore:
         #: with mixed formats are fully readable regardless.
         self.snapshot_codec = snapshot_codec
         self._manifest_lock = threading.RLock()
+        #: checkpoint journal dir -> ``(seq, prev)`` of its next segment
+        self._journal_tails: Dict[Path, Tuple[int, Optional[str]]] = {}
 
     # -- naming and validation -------------------------------------------
 
@@ -262,21 +269,23 @@ class DatasetStore:
 
     # -- verified reads --------------------------------------------------
 
-    def _read_verified(self, path: Path, kind: str, *,
-                       gz: bool) -> Tuple[Any, str]:
+    def _read_verified(self, path: Path, kind: str, *, gz: bool,
+                       manifest: bool = True) -> Tuple[Any, str]:
         """Read + fully verify one artefact; returns ``(payload,
         sha256)``. Raises the :class:`IntegrityError` taxonomy (after
-        metering) on damage."""
+        metering) on damage. ``manifest=False`` skips the manifest
+        cross-check, for artefacts it does not record."""
         data = with_fs_retries(lambda: active_fs().read_bytes(path),
                                label="artefact:read")
         try:
             payload, digest, self_verified = decode_artefact(
                 data, kind=kind, gz=gz, path=path)
             entry = None
-            scope = self._scope_dir(path)
-            rel = path.relative_to(scope).as_posix()
-            with self._manifest_lock:
-                entry = Manifest.load(scope).get(rel)
+            if manifest:
+                scope = self._scope_dir(path)
+                rel = path.relative_to(scope).as_posix()
+                with self._manifest_lock:
+                    entry = Manifest.load(scope).get(rel)
             if (entry is not None and entry.get("sha256") != digest
                     and not self_verified):
                 # a legacy (un-enveloped) file cannot vouch for itself;
@@ -663,46 +672,139 @@ class DatasetStore:
     # -- campaign checkpoints ----------------------------------------------
 
     def _checkpoint_path(self, ixp: str, family: int, date: str) -> Path:
+        """Where an older version kept its single-file checkpoint."""
         self._validate_name(ixp)
         self._validate_family(family)
         self._validate_date(date)
         return self.root / ixp / f"v{family}" / f"{date}{CHECKPOINT_SUFFIX}"
 
-    def save_checkpoint(self, ixp: str, family: int, date: str,
-                        payload: Dict) -> Path:
-        """Persist partial campaign progress (atomic write + fsync +
-        rename), so a crashed collection resumes at the last completed
-        peer."""
-        path = self._checkpoint_path(ixp, family, date)
-        # checkpoints are rewritten after every few peers and deleted on
-        # completion — favour write speed over compression ratio.
-        return self._write_artefact(path, payload, "checkpoint",
-                                    gz=True, compresslevel=1)
+    def _journal_dir(self, ixp: str, family: int, date: str) -> Path:
+        self._validate_name(ixp)
+        self._validate_family(family)
+        self._validate_date(date)
+        return (self.root / ixp / f"v{family}"
+                / f"{date}{journal.JOURNAL_SUFFIX}")
 
-    def load_checkpoint(self, ixp: str, family: int,
-                        date: str) -> Optional[Dict]:
-        """A verified checkpoint payload, or None when there is none
-        *or it is damaged* — a corrupt checkpoint is quarantined and
-        the campaign target restarts from scratch instead of dying."""
-        path = self._checkpoint_path(ixp, family, date)
-        if not path.exists():
+    def _read_segment(self, path: Path) -> Tuple[Dict[str, Any], str]:
+        return self._read_verified(path, "checkpoint", gz=True,
+                                   manifest=False)
+
+    def _replay_journal(self, directory: Path,
+                        dropped: Optional[List[QuarantineRecord]] = None,
+                        ) -> journal.Replay:
+        """Replay one journal, quarantining every segment after its
+        verified prefix, and remember where the next segment goes."""
+        replay = journal.replay(directory, self._read_segment)
+        for error in replay.dropped:
+            try:
+                error.record = self.quarantine(error.path, error)
+            except FileNotFoundError:
+                continue  # listed, then gone before we could move it
+            if dropped is not None:
+                dropped.append(error.record)
+        self._journal_tails[directory] = replay.tail
+        return replay
+
+    def save_checkpoint(self, ixp: str, family: int, date: str,
+                        payload: Dict[str, Any]) -> Path:
+        """Append one segment to the target's checkpoint journal and
+        return its path.
+
+        *payload* holds what the campaign gained since its previous
+        flush (values may be :class:`EncodedJSON`); the store adds the
+        segment's ``seq`` and ``prev``. Each segment is one atomic
+        write (temp + fsync + rename + directory fsync) and no manifest
+        update: the envelope digest and the chain vouch for it.
+        """
+        directory = self._journal_dir(ixp, family, date)
+        tail = self._journal_tails.get(directory)
+        if tail is None:
+            tail = self._replay_journal(directory).tail
+        seq, prev = tail
+        segment: Dict[str, Any] = {"seq": seq, "prev": prev}
+        segment.update((key, value) for key, value in payload.items()
+                       if key not in journal.CHAIN_KEYS)
+        # each segment is compressed once, so zlib's default level
+        # costs little: ~20% fewer bytes than level 1 for ~2x its
+        # (small) time.
+        data, digest = encode_artefact(EncodedJSON.of_object(segment),
+                                       "checkpoint", gz=True,
+                                       compresslevel=6)
+        fsyncs = 0
+        if seq == 0:
+            # make the new journal directory's own entry durable
+            directory.mkdir(parents=True, exist_ok=True)
+            if fsync_directory(directory.parent):
+                fsyncs += 1
+        path = directory / journal.segment_name(seq)
+        fsyncs += atomic_write(path, data, kind="checkpoint",
+                               crash=self._crash)
+        self._journal_tails[directory] = (seq + 1, digest)
+        metrics = _METRICS()
+        metrics.writes.labels("checkpoint").inc()
+        metrics.write_bytes.labels("checkpoint").inc(len(data))
+        metrics.fsyncs.inc(fsyncs)
+        return path
+
+    def load_checkpoint(self, ixp: str, family: int, date: str,
+                        dropped: Optional[List[QuarantineRecord]] = None,
+                        ) -> Optional[Dict]:
+        """The target's checkpoint: the verified, chained prefix of its
+        journal merged into one dict (see :func:`journal.merge`), or
+        None when there is no valid genesis segment.
+
+        Segments after the prefix — torn, unchained, or following one
+        that is — are quarantined; pass a list as ``dropped`` to receive
+        their quarantine records. The next :meth:`save_checkpoint`
+        appends right after the prefix. Without a journal, an older
+        version's single-file checkpoint is returned as stored (a
+        damaged one is quarantined and gives None).
+        """
+        replay = self._replay_journal(
+            self._journal_dir(ixp, family, date), dropped)
+        if replay.segments:
+            return replay.payload
+        legacy = self._checkpoint_path(ixp, family, date)
+        if not legacy.exists():
             return None
         try:
-            return self._load_self_healing(path, "checkpoint",
+            return self._load_self_healing(legacy, "checkpoint",
                                            gz=True)[0]
         except IntegrityError:
             return None
 
     def delete_checkpoint(self, ixp: str, family: int, date: str) -> bool:
-        path = self._checkpoint_path(ixp, family, date)
-        if path.exists():
-            path.unlink()
-            self._forget_manifest_entry(path)
-            return True
-        return False
+        """Remove the target's journal, newest segment first (a crash
+        part-way leaves a shorter valid prefix), and any older
+        single-file checkpoint."""
+        directory = self._journal_dir(ixp, family, date)
+        self._journal_tails[directory] = (0, None)
+        removed = False
+        # a listing may lag behind the directory (delayed visibility):
+        # list again until it comes back empty.
+        for _attempt in range(3):
+            segments = journal.list_segments(directory)
+            if not segments:
+                break
+            for _seq, path in reversed(segments):
+                with contextlib.suppress(FileNotFoundError):
+                    with_fs_retries(
+                        lambda path=path: active_fs().unlink(path),
+                        label="checkpoint:unlink")
+            removed = True
+        with contextlib.suppress(OSError):
+            directory.rmdir()
+        legacy = self._checkpoint_path(ixp, family, date)
+        if legacy.exists():
+            legacy.unlink()
+            self._forget_manifest_entry(legacy)
+            removed = True
+        return removed
 
     def has_checkpoint(self, ixp: str, family: int, date: str) -> bool:
-        return self._checkpoint_path(ixp, family, date).exists()
+        return (bool(journal.list_segments(
+                    self._journal_dir(ixp, family, date)))
+                or self._checkpoint_path(ixp, family, date).exists())
 
     def has_snapshot(self, ixp: str, family: int, date: str) -> bool:
         # routed through the active filesystem so delayed-visibility

@@ -10,6 +10,7 @@ import pytest
 from repro.bgp.route import Route
 from repro.collector import DatasetStore
 from repro.collector.campaign import (
+    CHECKPOINT_VERSION,
     STATUS_ALREADY_COLLECTED,
     STATUS_COMPLETE,
     STATUS_DEGRADED,
@@ -54,9 +55,9 @@ def start_server(mounts, **kwargs):
 
 def make_campaign(store, url, targets=("linx",), clock=None, **kwargs):
     clock = clock or FakeClock()
-    # coarser checkpoint cadence than the per-peer default: rewriting
-    # the full checkpoint 43 times per run is the tests' hot path, and
-    # a deadline/crash park always writes one more anyway.
+    # coarser checkpoint cadence than the per-peer default: fewer
+    # journal segments per run, and a deadline/crash park always
+    # writes one more anyway.
     kwargs.setdefault("checkpoint_every", 8)
     config = CampaignConfig(
         base_url=url,
@@ -198,7 +199,7 @@ class TestResume:
     def test_fresh_run_discards_stale_checkpoint(self, mounts, tmp_path):
         store = DatasetStore(tmp_path / "ds")
         store.save_checkpoint("linx", 4, DATE, {
-            "version": 1, "ixp": "linx", "family": 4,
+            "version": CHECKPOINT_VERSION, "ixp": "linx", "family": 4,
             "captured_on": DATE,
             "peers": {"999999": {"routes": [], "filtered": 0,
                                  "name": "stale"}},
@@ -208,6 +209,7 @@ class TestResume:
             report = make_campaign(store, url).run(resume=False)
         target = report.targets[0]
         assert target.peers_resumed == 0
+        assert not store.has_checkpoint("linx", 4, DATE)
         snapshot = store.load_snapshot("linx", 4, DATE)
         assert all(m.asn != 999999 for m in snapshot.members)
 
@@ -643,8 +645,8 @@ class TestDictionaryDriftOnResume:
 
     def test_legacy_checkpoint_without_digest_still_merges(
             self, mounts, tmp_path):
-        """Pre-PR-6 checkpoints carry no digest; they cannot be
-        verified and must keep merging exactly as before."""
+        """A checkpoint that records no digest cannot be verified and
+        must keep merging exactly as before."""
         server = start_server(mounts)
         store = DatasetStore(tmp_path / "ds")
         with server.serve() as url:
@@ -653,10 +655,14 @@ class TestDictionaryDriftOnResume:
                                      snapshot_deadline=5.0)
             report = campaign.run()
             checkpointed = report.targets[0].peers_collected
-            # strip the digest, as an old checkpoint would be
+            # strip the digest: rewrite the journal as one genesis
+            # segment without it
             checkpoint = store.load_checkpoint("linx", 4, DATE)
             del checkpoint["dictionary_digest"]
+            store.delete_checkpoint("linx", 4, DATE)
             store.save_checkpoint("linx", 4, DATE, checkpoint)
+            assert "dictionary_digest" not in store.load_checkpoint(
+                "linx", 4, DATE)
 
             resumed = make_campaign(store, url).run(resume=True)
         target = resumed.targets[0]

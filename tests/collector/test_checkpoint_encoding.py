@@ -1,13 +1,14 @@
 """Campaign checkpoints encode each peer once and stay byte-identical.
 
-A campaign encodes each peer's checkpoint entry once, at the first
-flush that includes it (:class:`~repro.collector.integrity.EncodedJSON`),
-and splices the cached entries together at every later flush. The file
-and its digest must be exactly what ``encode_artefact`` makes of the
-plain checkpoint dict — for untrusted peer names and failure strings,
-filtered routes, resumed and fresh peers completing in any order, and
-the obs ``metrics`` key — and each peer entry must be encoded a fixed
-number of times however many checkpoints a run writes.
+A campaign checkpoint is an append-only journal: each flush writes one
+segment holding the peers collected since the previous flush, each
+encoded once (:class:`~repro.collector.integrity.EncodedJSON`). Every
+segment file and its digest must be exactly what ``encode_artefact``
+makes of the plain segment dict — for untrusted peer names and failure
+strings, filtered routes, resumed and fresh peers completing in any
+order, and the obs ``metrics`` key — the segments must chain, and each
+peer entry must be encoded a fixed number of times however many
+checkpoints a run writes.
 """
 
 import json
@@ -97,8 +98,8 @@ def scenarios(draw):
                  "name": draw(untrusted)}
         resumed = draw(st.booleans())
         if resumed:
-            # a checkpoint file keeps whatever key order it was
-            # written with; re-encoding must preserve it.
+            # a parked journal keeps whatever key order it was
+            # written with.
             keys = draw(st.permutations(list(entry)))
             entry = {key: entry[key] for key in keys}
         peers.append({"asn": asn, "routes": routes, "entry": entry,
@@ -115,9 +116,13 @@ def scenarios(draw):
     return peers, fresh, failures, metrics, digest
 
 
-def expected_payload(entries, failures, metrics, digest):
-    """The checkpoint exactly as a plain dict, in file order."""
-    payload = {
+def expected_payload(entries, failures, metrics, digest, chain=None):
+    """A checkpoint exactly as a plain dict, in file order: one journal
+    segment when *chain* gives its ``(seq, prev)``, else the whole
+    merged checkpoint."""
+    payload = {} if chain is None else {"seq": chain[0],
+                                        "prev": chain[1]}
+    payload.update({
         "version": CHECKPOINT_VERSION,
         "ixp": TARGET.ixp,
         "family": TARGET.family,
@@ -126,7 +131,7 @@ def expected_payload(entries, failures, metrics, digest):
         "peers": {asn: entries[asn] for asn in sorted(entries, key=int)},
         "failures": [f.to_dict() for f in
                      sorted(failures, key=lambda f: f.asn)],
-    }
+    })
     if metrics is not None:
         payload["metrics"] = metrics
     return payload
@@ -136,9 +141,11 @@ class TestByteIdentity:
     @settings(max_examples=60, deadline=None)
     @given(scenarios())
     def test_checkpoint_bytes_match_encode_artefact(self, scenario):
-        """Every flush — resumed peers first encoded at the first one,
-        fresh peers arriving out of ASN order — writes the bytes and
-        manifest digest ``encode_artefact`` gives the plain dict."""
+        """Every flush — fresh peers arriving out of ASN order after a
+        resume — appends one segment with the bytes ``encode_artefact``
+        gives the plain segment dict, chained by digest and absent from
+        the manifest, and the journal reads back as the whole
+        checkpoint."""
         peers, fresh, failures, metrics, digest = scenario
         with tempfile.TemporaryDirectory() as root, \
                 mock.patch.object(obs, "enabled",
@@ -151,12 +158,20 @@ class TestByteIdentity:
             campaign._dictionary_digests[TARGET.ixp] = digest
             report = TargetReport(ixp=TARGET.ixp, family=TARGET.family,
                                   failures=list(failures))
-            ledger = _PeerLedger()
             entries = {str(p["asn"]): p["entry"]
                        for p in peers if p["resumed"]}
-            ledger.resume(dict(entries))
-            # None = one flush with only the resumed peers
-            for peer in [None] + fresh:
+            # the resumed peers are a parked journal's genesis segment
+            store.save_checkpoint(TARGET.ixp, TARGET.family, DATE,
+                                  expected_payload(entries, [], None,
+                                                   digest))
+            ledger = _PeerLedger()
+            ledger.resume(store.load_checkpoint(
+                TARGET.ixp, TARGET.family, DATE)["peers"])
+            prev = integrity.payload_digest(expected_payload(
+                entries, [], None, digest, chain=(0, None)))
+            # None = one flush with no new peer, only the failures
+            for seq, peer in enumerate([None] + fresh, start=1):
+                new = {}
                 if peer is not None:
                     entry = peer["entry"]
                     ledger.collect(NeighborSummary(
@@ -165,18 +180,22 @@ class TestByteIdentity:
                         routes_accepted=len(peer["routes"]),
                         routes_filtered=entry["filtered"]),
                         peer["routes"])
-                    entries[str(peer["asn"])] = entry
-                campaign._save_checkpoint(TARGET, DATE, ledger, report)
+                    new[str(peer["asn"])] = entries[str(peer["asn"])] \
+                        = entry
+                path = campaign._save_checkpoint(TARGET, DATE, ledger,
+                                                 report)
 
-                data = store._checkpoint_path(
-                    TARGET.ixp, TARGET.family, DATE).read_bytes()
                 want, want_digest = encode_artefact(
-                    expected_payload(entries, failures, metrics, digest),
-                    "checkpoint", gz=True, compresslevel=1)
-                assert data == want
+                    expected_payload(new, failures if seq == 1 else [],
+                                     metrics, digest, chain=(seq, prev)),
+                    "checkpoint", gz=True, compresslevel=6)
+                assert path.name == f"{seq:06d}.json.gz"
+                assert path.read_bytes() == want
                 manifest = Manifest.load(store.root / TARGET.ixp)
-                assert manifest.get(f"v4/{DATE}.ckpt.json.gz")["sha256"] \
-                    == want_digest
+                assert manifest.get(
+                    path.relative_to(store.root / TARGET.ixp)
+                    .as_posix()) is None
+                prev = want_digest
                 assert store.load_checkpoint(
                     TARGET.ixp, TARGET.family, DATE) == json.loads(
                         json.dumps(expected_payload(

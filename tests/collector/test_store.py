@@ -253,9 +253,8 @@ class TestIntegrityFailures:
             == "2021-07-26"
 
     def test_damaged_checkpoint_returns_none(self, store):
-        store.save_checkpoint("linx", 4, "2021-07-19",
-                              {"version": 1, "peers": {}})
-        path = store._checkpoint_path("linx", 4, "2021-07-19")
+        path = store.save_checkpoint("linx", 4, "2021-07-19",
+                                     {"version": 2, "peers": {}})
         path.write_bytes(path.read_bytes()[:20])
         assert store.load_checkpoint("linx", 4, "2021-07-19") is None
         assert store.quarantine_records()
@@ -272,8 +271,9 @@ class TestIntegrityFailures:
 
     def test_no_temp_debris_after_saves(self, store):
         store.save_snapshot(snapshot("2021-07-19"))
-        store.save_checkpoint("linx", 4, "2021-07-19",
-                              {"version": 1, "peers": {}})
+        for _flush in range(2):
+            store.save_checkpoint("linx", 4, "2021-07-19",
+                                  {"version": 2, "peers": {}})
         store.save_dictionary("linx", dictionary_for(get_profile("linx")))
         assert not list(store.root.rglob("*.tmp"))
 
