@@ -29,7 +29,6 @@ import pytest
 
 from repro.ixp import get_profile
 from repro.lg import (
-    AsyncLookingGlassClient,
     FaultSchedule,
     LookingGlassClient,
     LookingGlassServer,
@@ -75,7 +74,7 @@ def high_fanout():
         established = sorted(
             (n for n in sync.neighbors() if n.established),
             key=lambda n: n.asn)
-        aclient = AsyncLookingGlassClient(
+        aclient = LookingGlassClient(
             base_url=url, ixp=ixp, family=family,
             max_inflight=HIGH_FANOUT, max_connections=HIGH_FANOUT,
             backoff_base=0.001, backoff_cap=0.01, timeout=30.0)

@@ -11,8 +11,8 @@ The package is layered bottom-up:
 * :mod:`repro.lg` — a Looking Glass HTTP server and resilient client;
 * :mod:`repro.workload` — calibrated synthetic populations and the
   twelve-week snapshot generator;
-* :mod:`repro.collector` — snapshots, dataset store, scraper, and the
-  §3 sanitation pass;
+* :mod:`repro.collector` — snapshots, dataset store, collection
+  campaigns, and the §3 sanitation pass;
 * :mod:`repro.core` — the paper's analyses (Figs. 1–7, Tables 1–4) and
   the :class:`~repro.core.pipeline.Study` entry point.
 

@@ -18,10 +18,11 @@ Subcommands:
 * ``campaign`` — run a fault-tolerant collection campaign against a
   Looking Glass URL (checkpointed; re-run with ``--resume`` to pick up
   an interrupted collection at the last completed peer; SIGINT/SIGTERM
-  park the run gracefully with exit code 2; ``--io async`` fans route
-  pages over one event loop per mount and ``--dispatch N`` shards
-  mounts over worker processes — snapshot bytes are identical to a
-  serial run either way);
+  park the run gracefully with exit code 2; ``--io async`` lets
+  ``--max-inflight`` peers and route pages run at once on each mount's
+  event loop and ``--dispatch N`` shards mounts over worker
+  processes — snapshot bytes are identical to a serial run either
+  way);
 * ``fsck``     — verify every artefact in a store against its manifest
   and embedded checksums; ``--repair`` quarantines damaged files
   (never deletes) and rebuilds the manifest. Exit 0 = clean,
@@ -299,7 +300,7 @@ def _run_dispatch(args: argparse.Namespace,
         DispatchCoordinator,
         WorkUnit,
     )
-    from .collector.scraper import utc_today
+    from .collector.campaign import utc_today
 
     date = args.date or utc_today()
     units = [WorkUnit(ixp=ixp, family=family, date=date,
@@ -627,15 +628,15 @@ def build_parser() -> argparse.ArgumentParser:
                         help="persist a checkpoint every N peers")
     p_camp.add_argument("--io", choices=("serial", "async"),
                         default="serial",
-                        help="per-peer fetch engine: 'serial' fetches "
-                             "one peer at a time, 'async' fans route "
-                             "pages over one selectors event loop "
-                             "(snapshots are byte-identical either "
-                             "way)")
+                        help="in-flight bound per mount: 'serial' "
+                             "fetches one peer and one page at a time "
+                             "over one connection, 'async' allows "
+                             "--max-inflight of each (snapshots are "
+                             "byte-identical either way)")
     p_camp.add_argument("--max-inflight", type=int, default=32,
-                        help="concurrent page fetches (and at most "
-                             "that many connections) under "
-                             "--io async; ignored for serial")
+                        help="concurrent peers and page fetches (and "
+                             "at most that many connections) under "
+                             "--io async; serial means 1")
     p_camp.add_argument("--dispatch", type=int, default=0, metavar="N",
                         help="shard units across N worker processes "
                              "under lease-based claims (0 = run "

@@ -1,5 +1,5 @@
 """Collection substrate: snapshots, durable dataset store, integrity
-and fsck tooling, sanitation, scraper, and fault-tolerant collection
+and fsck tooling, sanitation, and fault-tolerant collection
 campaigns."""
 
 from .sanitation import (
@@ -42,13 +42,11 @@ from .integrity import (
     atomic_write,
 )
 from .manifest import Manifest
-from .scraper import ScrapeReport, SnapshotScraper
 from .snapshot import Snapshot, snapshots_sorted
 from .store import QUARANTINE_DIR, REPORTS_DIR, DatasetStore
 
 __all__ = [
     "Snapshot", "snapshots_sorted", "DatasetStore",
-    "SnapshotScraper", "ScrapeReport",
     "CollectionCampaign", "CampaignConfig", "CampaignTarget",
     "CampaignReport", "TargetReport", "PeerFailure",
     "install_shutdown_handlers",

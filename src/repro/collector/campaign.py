@@ -41,24 +41,28 @@ multi-(IXP, family) scraping with
   (see :mod:`repro.collector.integrity`); resume keeps the verified
   prefix of a checkpoint journal, the store quarantines a damaged tail,
   and only the peers in it are fetched again;
-* **one concurrent engine** — peers are fetched either serially
-  through the sync client (``io="serial"``, the default: the paper's
-  sequential single-connection discipline and the reference the
-  determinism suites compare against) or page-parallel on one
-  selectors event loop per mount (``io="async"``, see
-  :mod:`repro.lg.aio`). Targets run one after another; process-level
-  scale is :mod:`repro.collector.dispatch`. Peers are taken from an
-  ASN-sorted list and reassembled in that order, so snapshots are
-  **byte-identical** across engines; checkpoints still mean "peers
-  collected so far", and a shutdown/deadline park stops starting
-  peers, drains the in-flight ones, and checkpoints them too.
+* **one peer loop** — each mount's peers are fetched as coroutines
+  on the mount's :class:`~repro.lg.client.LookingGlassClient` loop.
+  ``io`` only sets the bound: ``"serial"`` (the default) is one peer,
+  one page fetch and one connection at a time — the paper's
+  single-connection discipline and the control the determinism suites
+  compare against — and ``"async"`` lets ``max_inflight`` peers and
+  page fetches (and connections) run at once. Targets run one after
+  another; process-level scale is :mod:`repro.collector.dispatch`.
+  Peers are taken from an ASN-sorted list and reassembled in that
+  order, so snapshots are **byte-identical** at any bound; checkpoints
+  mean "peers collected so far", and a shutdown/deadline park stops
+  starting peers, drains the in-flight ones, and checkpoints them too.
 
 Clock and sleep are injectable: tests drive deadlines and breaker
-cooldowns with a fake clock and never block.
+cooldowns with a fake clock and never block. An injected ``sleep``
+receives every backoff and cooldown wait, with its exact length, from
+the clients' loops.
 """
 
 from __future__ import annotations
 
+import datetime as _dt
 import signal as _signal
 import threading
 import time
@@ -72,7 +76,6 @@ from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
 from .. import obs
 from ..bgp.route import Route, RouteDecodeMemo
 from ..ixp.member import Member, MemberRole
-from ..lg.aio import AsyncLookingGlassClient
 from ..lg.api import DEFAULT_PAGE_SIZE, NeighborSummary
 from ..lg.breaker import BreakerRegistry
 from ..lg.client import (
@@ -82,8 +85,8 @@ from ..lg.client import (
     LookingGlassError,
     TransientError,
 )
+from ..net import aio
 from .integrity import EncodedJSON, IntegrityError, QuarantineRecord
-from .scraper import utc_today
 from .snapshot import Snapshot
 from .store import DatasetStore
 
@@ -137,6 +140,14 @@ _METRICS = obs.MetricSet(lambda reg: types.SimpleNamespace(
         "by fetch engine", ("ixp", "family", "engine")),
 ))
 
+
+def utc_today() -> str:
+    """Today's ISO date in UTC — the deterministic default capture
+    date (local-timezone ``date.today()`` flips a day earlier/later
+    near midnight depending on the machine)."""
+    return _dt.datetime.now(_dt.timezone.utc).date().isoformat()
+
+
 #: terminal states of one campaign target.
 STATUS_COMPLETE = "complete"            # snapshot written, all peers in
 STATUS_DEGRADED = "degraded"            # snapshot written, peers missing
@@ -179,15 +190,15 @@ class CampaignConfig:
     backoff_base: float = 0.05
     backoff_cap: float = 2.0
     page_retries: int = 1
-    #: fetch engine within one target: "serial" fetches one peer at a
-    #: time through the sync client; "async" fans individual route
-    #: *pages* onto one selectors event loop (see repro.lg.aio), whose
-    #: concurrency ``max_inflight`` bounds.
+    #: the in-flight bound within one target: "serial" fetches one peer
+    #: and one page at a time over one connection; "async" allows
+    #: ``max_inflight`` of each.
     io: str = "serial"
-    #: async engine: page fetches in flight at once per target — also
-    #: the per-mount connection cap handed to the keep-alive pool.
+    #: under ``io="async"``: peers and page fetches in flight at once
+    #: per target — also the per-mount connection cap handed to the
+    #: keep-alive pool. ``io="serial"`` means 1.
     max_inflight: int = 32
-    #: routes per page requested from the LG (both engines).
+    #: routes per page requested from the LG (at either ``io`` bound).
     page_size: int = DEFAULT_PAGE_SIZE
 
 
@@ -435,7 +446,8 @@ class CollectionCampaign:
 
     def __init__(self, store: DatasetStore, config: CampaignConfig,
                  clock: Callable[[], float] = time.monotonic,
-                 sleep: Callable[[float], None] = time.sleep) -> None:
+                 sleep: Optional[Callable[[float], None]] = None,
+                 ) -> None:
         self.store = store
         self.config = config
         self.clock = clock
@@ -445,8 +457,6 @@ class CollectionCampaign:
             reset_timeout=config.breaker_reset,
             clock=clock)
         self._clients: Dict[Tuple[str, int], LookingGlassClient] = {}
-        self._aio_clients: Dict[Tuple[str, int],
-                                AsyncLookingGlassClient] = {}
         if config.io not in ("serial", "async"):
             raise ValueError(
                 f"unknown io engine {config.io!r} "
@@ -472,8 +482,9 @@ class CollectionCampaign:
     # -- plumbing --------------------------------------------------------
 
     def client_for(self, target: CampaignTarget) -> LookingGlassClient:
-        """One persistent client per mount (stats accumulate across
-        the campaign, and the mount's async client shares them)."""
+        """The mount's one client: its loop and pool carry every
+        request of the run, and its stats stay readable after
+        :meth:`run` closes it."""
         key = (target.ixp, target.family)
         if key not in self._clients:
             config = self.config
@@ -489,6 +500,8 @@ class CollectionCampaign:
                 page_retries=config.page_retries,
                 breaker=self.breakers.get(target.ixp, target.family),
                 sleep=self.sleep,
+                max_inflight=(1 if config.io == "serial"
+                              else config.max_inflight),
             )
         return self._clients[key]
 
@@ -506,6 +519,7 @@ class CollectionCampaign:
         """
         captured_on = self.config.captured_on or utc_today()
         report = CampaignReport(captured_on=captured_on, resumed=resume)
+        self._clients.clear()  # a closed client cannot serve a rerun
         try:
             with obs.span(f"campaign {captured_on}"):
                 for target in self.config.targets:
@@ -523,11 +537,10 @@ class CollectionCampaign:
                     _METRICS().target_seconds.labels().observe(
                         outcome.elapsed)
         finally:
-            # the async clients own sockets and a selector each; the
-            # sync clients (and the stats they share) stay readable.
-            for aclient in self._aio_clients.values():
-                aclient.close()
-            self._aio_clients.clear()
+            # each client owns sockets and a selector; its stats stay
+            # readable through client_for.
+            for client in self._clients.values():
+                client.close()
         if obs.enabled():
             report.run_report_path = str(self.store.save_run_report(
                 f"campaign-{captured_on}",
@@ -581,15 +594,13 @@ class CollectionCampaign:
             return report
 
         # Deterministic ASN order: submission and reassembly both walk
-        # this list, so the fetch engine cannot change snapshot content.
+        # this list, so the in-flight bound cannot change snapshot content.
         established = sorted(
             (n for n in neighbors if n.established),
             key=lambda n: n.asn)
         pending = [n for n in established if n.asn not in ledger]
-        collect = (self._collect_peers_async if self.config.io == "async"
-                   else self._collect_peers_serial)
-        collect(client, pending, ledger, report, target, captured_on,
-                started)
+        self._collect_peers(client, pending, ledger, report, target,
+                            captured_on, started)
 
         if report.deadline_hit or report.interrupted:
             self._save_checkpoint(target, captured_on, ledger, report)
@@ -647,87 +658,41 @@ class CollectionCampaign:
         return (deadline is not None
                 and self.clock() - started >= deadline)
 
-    def _collect_peers_serial(self, client: LookingGlassClient,
-                              pending: Sequence[NeighborSummary],
-                              ledger: _PeerLedger,
-                              report: TargetReport,
-                              target: CampaignTarget, captured_on: str,
-                              started: float) -> None:
-        """The ``io="serial"`` path: one peer at a time, shutdown and
-        deadline checked between peers."""
-        since_checkpoint = 0
-        for neighbor in pending:
-            if self._shutdown.is_set():
-                report.interrupted = True
-                break
-            if self._deadline_exceeded(started):
-                report.deadline_hit = True
-                break
-            report.peers_attempted += 1
-            outcome = self._collect_peer(client, neighbor, target)
-            if not self._apply_outcome(target, report, neighbor,
-                                       outcome, ledger):
-                continue
-            since_checkpoint += 1
-            if since_checkpoint >= max(1, self.config.checkpoint_every):
-                self._save_checkpoint(target, captured_on, ledger,
-                                      report)
-                since_checkpoint = 0
-
-    def _aio_client_for(self, target: CampaignTarget,
-                        client: LookingGlassClient,
-                        ) -> AsyncLookingGlassClient:
-        """One async client (loop + pool) per mount, wrapping the
-        mount's sync client so stats and breaker stay shared."""
-        key = (target.ixp, target.family)
-        if key not in self._aio_clients:
-            self._aio_clients[key] = AsyncLookingGlassClient.from_client(
-                client, max_inflight=self.config.max_inflight)
-        return self._aio_clients[key]
-
-    def _collect_peers_async(self, client: LookingGlassClient,
-                             pending: Sequence[NeighborSummary],
-                             ledger: _PeerLedger,
-                             report: TargetReport,
-                             target: CampaignTarget, captured_on: str,
-                             started: float) -> None:
-        """The ``io="async"`` path: every pending peer's paginated
-        fetch fans onto one selectors event loop, page-parallel under
-        the client's ``max_inflight`` bound.
+    def _collect_peers(self, client: LookingGlassClient,
+                       pending: Sequence[NeighborSummary],
+                       ledger: _PeerLedger, report: TargetReport,
+                       target: CampaignTarget, captured_on: str,
+                       started: float) -> None:
+        """Fetch the pending peers as coroutines on the client's loop,
+        at most ``client.max_inflight`` at once.
 
         The calling thread drives the loop one bounded turn at a time
-        and folds finished peers between turns, so report mutation and
-        checkpoint cadence match the serial path. A shutdown/deadline
-        park stops submitting, drains the in-flight peers and
-        checkpoints them too.
+        and folds finished peers between turns, so it owns every
+        report mutation and checkpoint write. Shutdown and deadline are
+        checked before each peer starts; a park stops starting peers,
+        drains the in-flight ones and checkpoints them too.
         """
-        aclient = self._aio_client_for(target, client)
-        loop = aclient.loop
+        loop = client.loop
         queue = deque(pending)
         inflight: Dict[Any, NeighborSummary] = {}  # Task -> neighbor
-        window = max(1, self.config.max_inflight)
         since_checkpoint = 0
-        stopped = False
         while queue or inflight:
-            if not stopped:
+            while queue and len(inflight) < client.max_inflight:
                 if self._shutdown.is_set():
                     report.interrupted = True
-                    stopped = True
+                    queue.clear()
                 elif self._deadline_exceeded(started):
                     report.deadline_hit = True
-                    stopped = True
-            while (not stopped and queue
-                   and len(inflight) < window):
-                neighbor = queue.popleft()
-                report.peers_attempted += 1
-                task = loop.spawn(
-                    self._collect_peer_coro(aclient, neighbor, target),
-                    name=f"peer:{neighbor.asn}")
-                inflight[task] = neighbor
-            if stopped:
-                queue.clear()
+                    queue.clear()
+                else:
+                    neighbor = queue.popleft()
+                    report.peers_attempted += 1
+                    task = loop.spawn(
+                        self._collect_peer_coro(client, neighbor, target),
+                        name=f"peer:{neighbor.asn}")
+                    inflight[task] = neighbor
             if not inflight:
-                continue
+                break
             loop.run_once()
             done = [task for task in inflight if task.done]
             for task in done:
@@ -742,14 +707,14 @@ class CollectionCampaign:
                                       report)
                 since_checkpoint = 0
 
-    def _collect_peer_coro(self, aclient: AsyncLookingGlassClient,
+    def _collect_peer_coro(self, client: LookingGlassClient,
                            neighbor: NeighborSummary,
                            target: CampaignTarget,
                            ) -> Any:
-        """Coroutine twin of :meth:`_collect_peer`: the per-peer retry
-        budget with the same breaker-cooldown and definitive-failure
-        handling, all waits through the loop."""
-        from ..net import aio
+        """One peer's routes under the per-peer retry budget, as a
+        coroutine. Never raises a taxonomy failure and never touches
+        the report: the outcome is folded in by
+        :meth:`_apply_outcome`."""
         metrics = _METRICS()
         mount = (target.ixp, str(target.family))
         metrics.inflight_peers.labels(*mount).inc()
@@ -760,25 +725,30 @@ class CollectionCampaign:
             last: Optional[LookingGlassError] = None
             for attempt in range(attempts):
                 try:
-                    routes = yield from aclient.peer_routes_coro(
+                    routes = yield from client.peer_routes_coro(
                         neighbor.asn,
                         page_size=self.config.page_size)
                     return _PeerOutcome(routes=routes,
                                         circuit_open_skips=skips)
                 except CircuitOpenError as error:
+                    # The mount is known-down: wait out the cooldown
+                    # once rather than burning attempts against a
+                    # tripped breaker.
                     skips += 1
                     last = error
-                    cooldown = (aclient.breaker.seconds_until_probe
-                                if aclient.breaker is not None else 0.0)
+                    cooldown = (client.breaker.seconds_until_probe
+                                if client.breaker is not None else 0.0)
                     if attempt < attempts - 1 and cooldown > 0:
-                        # same cushion as the serial path: sleep past
-                        # the cooldown boundary, not exactly onto it.
+                        # cushion past the cooldown boundary: sleeping
+                        # the exact remainder can land short of the
+                        # threshold (float rounding, coarse clocks) and
+                        # deadlock the probe.
                         yield from aio.sleep(cooldown + 1e-3)
                 except TransientError as error:
                     last = error
                 except LookingGlassError as error:
                     last = error
-                    break  # definitive — retrying is pointless
+                    break  # definitive (4xx-style) — retrying is pointless
             assert last is not None
             return _PeerOutcome(
                 failure=PeerFailure(
@@ -787,7 +757,7 @@ class CollectionCampaign:
                 circuit_open_skips=skips)
         finally:
             metrics.inflight_peers.labels(*mount).dec()
-            metrics.peer_seconds.labels(*mount, "async").observe(
+            metrics.peer_seconds.labels(*mount, self.config.io).observe(
                 time.perf_counter() - fetch_started)
 
     def _apply_outcome(self, target: CampaignTarget,
@@ -812,64 +782,6 @@ class CollectionCampaign:
             target.ixp, str(target.family), "collected").inc()
         ledger.collect(neighbor, outcome.routes)
         return True
-
-    def _collect_peer(self, client: LookingGlassClient,
-                      neighbor: NeighborSummary,
-                      target: CampaignTarget) -> "_PeerOutcome":
-        """One peer's routes under the per-peer retry budget.
-
-        Pure fetch: never raises and never touches the report — the
-        outcome is folded in by :meth:`_apply_outcome`.
-        """
-        metrics = _METRICS()
-        mount = (target.ixp, str(target.family))
-        metrics.inflight_peers.labels(*mount).inc()
-        fetch_started = time.perf_counter()
-        try:
-            return self._collect_peer_inner(client, neighbor)
-        finally:
-            metrics.inflight_peers.labels(*mount).dec()
-            metrics.peer_seconds.labels(*mount, "serial").observe(
-                time.perf_counter() - fetch_started)
-
-    def _collect_peer_inner(self, client: LookingGlassClient,
-                            neighbor: NeighborSummary,
-                            ) -> "_PeerOutcome":
-        attempts = max(1, self.config.peer_attempts)
-        skips = 0
-        last: Optional[LookingGlassError] = None
-        for attempt in range(attempts):
-            try:
-                return _PeerOutcome(
-                    routes=list(client.routes(
-                        neighbor.asn,
-                        page_size=self.config.page_size)),
-                    circuit_open_skips=skips)
-            except CircuitOpenError as error:
-                # The mount is known-down: wait out the cooldown once
-                # rather than burning attempts against a tripped
-                # breaker.
-                skips += 1
-                last = error
-                cooldown = (client.breaker.seconds_until_probe
-                            if client.breaker is not None else 0.0)
-                if attempt < attempts - 1 and cooldown > 0:
-                    # cushion past the cooldown boundary: sleeping the
-                    # exact remainder can land short of the threshold
-                    # (float rounding, coarse clocks) and deadlock the
-                    # probe.
-                    self.sleep(cooldown + 1e-3)
-            except TransientError as error:
-                last = error
-            except LookingGlassError as error:
-                last = error
-                break  # definitive (4xx-style) — retrying is pointless
-        assert last is not None
-        return _PeerOutcome(
-            failure=PeerFailure(
-                asn=neighbor.asn, failure_class=last.failure_class,
-                error=str(last)),
-            circuit_open_skips=skips)
 
     def _dictionary_digest(self, ixp: str) -> Optional[str]:
         """The store's current community-dictionary digest for one IXP

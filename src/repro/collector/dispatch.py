@@ -50,7 +50,8 @@ serial run produces. The moving pieces:
 Dispatch is the collection's only multi-target scale: each worker
 runs one claimed unit at a time as a single-target
 :class:`~repro.collector.campaign.CollectionCampaign`, fetching its
-peers with the campaign's ``io`` engine (serial or async).
+peers on the campaign's one peer loop at its ``io`` bound (serial or
+async).
 
 The coordinator spawns workers as subprocesses, restarts unexpected
 exits (bounded), aggregates worker reports into ``repro_dispatch_*``
@@ -91,6 +92,7 @@ from .campaign import (
     CampaignConfig,
     CampaignTarget,
     CollectionCampaign,
+    utc_today,
 )
 from .fsck import fsck_store
 from .integrity import (
@@ -101,7 +103,6 @@ from .integrity import (
     encode_artefact,
 )
 from .manifest import _utcnow
-from .scraper import utc_today
 from .store import LEASES_DIR, QUARANTINE_DIR, STAGING_DIR, DatasetStore
 
 LEASE_VERSION = 1
@@ -586,12 +587,12 @@ class DispatchConfig:
     peer_attempts: int = 2
     snapshot_deadline: Optional[float] = None
     checkpoint_every: int = 1
-    #: per-peer fetch engine inside each worker (``--io``): "serial"
-    #: fetches one peer at a time, "async" fans route *pages* over one
-    #: selectors loop per mount.
+    #: in-flight bound inside each worker (``--io``): "serial" fetches
+    #: one peer and one page at a time, "async" allows
+    #: ``max_inflight`` of each.
     io: str = "serial"
-    #: concurrent page-fetch bound of the async engine
-    #: (``--max-inflight``); ignored under ``io="serial"``.
+    #: concurrent peers and page fetches under ``io="async"``
+    #: (``--max-inflight``); ``io="serial"`` means 1.
     max_inflight: int = 32
     breaker_threshold: int = 3
     breaker_reset: float = 5.0

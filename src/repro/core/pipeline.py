@@ -4,7 +4,7 @@ Glues the substrates together the way the paper's methodology does:
 
 1. **generate/collect** snapshots per IXP and family (synthetic stand-in
    for the LG scraping, or actual LG scraping via
-   :mod:`repro.collector.scraper`);
+   :mod:`repro.collector.campaign`);
 2. **sanitise** daily series (valley rule, §3);
 3. **aggregate** the analysis snapshot (latest weekly, §4);
 4. expose every figure/table through one :class:`Study` object.

@@ -3,7 +3,6 @@
 from .api import DEFAULT_PAGE_SIZE, MAX_PAGE_SIZE, NeighborSummary
 from .breaker import BreakerRegistry, CircuitBreaker
 from .dialects import DIALECT_ALICE, DIALECT_BIRDSEYE, DIALECTS
-from .aio import AsyncLookingGlassClient
 from .client import (
     FAILURE_CLASSES,
     FAILURE_LG_OUTAGE,
@@ -26,7 +25,7 @@ from .server import LookingGlassServer
 
 __all__ = [
     "LookingGlassServer", "LookingGlassClient",
-    "AsyncLookingGlassClient", "parse_retry_after", "LookingGlassError",
+    "parse_retry_after", "LookingGlassError",
     "TransientError", "RateLimitedError", "OutageError",
     "QueryTimeoutError", "MalformedPayloadError", "CircuitOpenError",
     "FAILURE_CLASSES", "FAILURE_RATE_LIMITED", "FAILURE_LG_OUTAGE",

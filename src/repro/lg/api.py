@@ -13,9 +13,9 @@ models as plain JSON payload builders/parsers:
   (paginated), with ``?filtered=1`` for the rejected set.
 
 The server (:mod:`repro.lg.server`) renders these; the client
-(:mod:`repro.lg.client`) consumes them; the scraper
-(:mod:`repro.collector.scraper`) drives the client the way the paper's
-collection pipeline drove the real LGs.
+(:mod:`repro.lg.client`) consumes them; the collection campaign
+(:mod:`repro.collector.campaign`) drives the client the way the
+paper's collection pipeline drove the real LGs.
 """
 
 from __future__ import annotations

@@ -12,9 +12,9 @@ to unify them. This module models that heterogeneity:
 
 plus translators mapping every dialect's payloads to the common
 client-side types (:class:`~repro.lg.api.NeighborSummary`, routes), so
-the scraper works unchanged against either.
+the collection works unchanged against either.
 
-The translators are the one place where both LG clients turn untrusted
+The translators are the one place where the LG client turns untrusted
 JSON into typed values. A payload that decodes but has the wrong shape
 or an unparseable field raises :class:`~repro.lg.client.MalformedPayloadError`,
 so it lands in the ``malformed_payload`` failure class like truncated

@@ -152,7 +152,7 @@ class LookingGlassServer:
         #: concurrent-connection cap fault mode: beyond this many open
         #: connections per (ixp, family) mount, further connections are
         #: answered 503-and-close. None disables. Lets tests prove the
-        #: async client's connection cap actually bounds LG pressure.
+        #: client's connection cap actually bounds LG pressure.
         self.connection_cap = connection_cap
         self._ledger = _ConnectionLedger()
         #: injectable so slow-response tests need not really stall.
@@ -366,7 +366,7 @@ class LookingGlassServer:
         """Start serving in a daemon thread; returns the base URL."""
         if self._httpd is not None:
             raise RuntimeError("server already started")
-        # A deep accept backlog: the async client opens its whole
+        # A deep accept backlog: a fanned-out client opens its whole
         # connection budget in one burst, and the socketserver default
         # of 5 drops the overflow SYNs — each dropped one costs the
         # kernel's ~1s retransmission before the connect completes.

@@ -15,7 +15,7 @@ Both HTTP front doors of this repository — the simulated Looking Glass
   client, dispatch work stealing, and filesystem fault retries, and
 * the client-side event-driven I/O substrate (:mod:`repro.net.aio`):
   a selectors event loop, HTTP/1.1 client codec, and capped keep-alive
-  connection pool behind the async LG client.
+  connection pool behind the LG client.
 
 Keeping them here (rather than inside ``repro.lg``) lets the query
 service depend on the rate limiter without importing the Looking

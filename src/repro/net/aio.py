@@ -24,7 +24,7 @@ completed peers and writes checkpoints between turns.
 
 This module is observability-free by design: the loop and pool expose
 plain observer hooks (``on_turn``, ``on_open``/``on_reuse``/
-``on_close``) and :mod:`repro.lg.aio` wires them into ``repro_lg_aio_*``
+``on_close``) and :mod:`repro.lg.client` wires them into ``repro_lg_aio_*``
 metrics.
 """
 
@@ -113,7 +113,8 @@ class _Park:
 
 
 def sleep(seconds: float) -> Generator[Any, Any, None]:
-    """Coroutine: suspend for ``seconds`` (loop-timer based)."""
+    """Coroutine: suspend for ``seconds`` (a loop timer, or the loop's
+    injected ``sleep``)."""
     if seconds > 0:
         yield _Sleep(seconds)
 
@@ -261,12 +262,21 @@ class EventLoop:
     Not thread-safe: exactly one thread drives it at a time (the
     thread running the campaign). ``on_turn`` is called
     with the duration of every :meth:`run_once` turn.
+
+    ``sleep`` is the seam for virtual time. Unset, a task's
+    :func:`sleep` is a loop timer and other tasks run meanwhile. Set,
+    the loop calls ``sleep(seconds)`` with the exact delay in the
+    driving thread and resumes the task at once, so a fake clock sees
+    every backoff and cooldown. I/O timeouts stay real-time timers
+    either way.
     """
 
     def __init__(self, clock: Callable[[], float] = time.monotonic,
-                 on_turn: Optional[Callable[[float], None]] = None) -> None:
+                 on_turn: Optional[Callable[[float], None]] = None,
+                 sleep: Optional[Callable[[float], None]] = None) -> None:
         self.clock = clock
         self.on_turn = on_turn
+        self.sleep = sleep
         self.selector = selectors.DefaultSelector()
         self.timers = TimerWheel(clock)
         #: tasks ready to step: (task, value, exc)
@@ -328,6 +338,10 @@ class EventLoop:
 
     def _dispatch(self, task: Task, instruction: Any) -> None:
         if isinstance(instruction, _Sleep):
+            if self.sleep is not None:
+                self.sleep(instruction.seconds)
+                self.wake(task)
+                return
             timer = self.timers.schedule(
                 instruction.seconds, lambda: self.wake(task))
             task._cleanup = lambda: self.timers.discard(timer)

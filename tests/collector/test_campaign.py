@@ -453,9 +453,10 @@ class TestConcurrentCollection:
 
     def test_async_client_closed_after_run(self, mounts, tmp_path,
                                            monkeypatch):
-        """An async campaign releases its sockets and selectors when
-        ``run`` returns: no idle pooled connection is left open and
-        nothing warns about an unclosed socket at collection."""
+        """A campaign releases its sockets and selectors when ``run``
+        returns, at either ``io`` bound: one pool per mount, no idle
+        pooled connection left open, and nothing warns about an
+        unclosed socket at collection."""
         import gc
         import warnings
 
@@ -470,20 +471,41 @@ class TestConcurrentCollection:
 
         monkeypatch.setattr(aio.ConnectionPool, "__init__", recording_init)
         server = start_server(mounts)
-        with server.serve() as url, \
-                warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", ResourceWarning)
+        for io in ("serial", "async"):
+            with server.serve() as url, \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                campaign = make_campaign(
+                    DatasetStore(tmp_path / io), url,
+                    targets=("linx", "bcix"),
+                    **{**self.ASYNC, "io": io})
+                assert campaign.run().complete
+                assert len(pools) == 2 and all(p.opened for p in pools)
+                assert [p.open_connections() for p in pools] == [0, 0]
+                del campaign
+                pools.clear()
+                gc.collect()
+            leaked = [w for w in caught
+                      if issubclass(w.category, ResourceWarning)]
+            assert not leaked, (io, [str(w.message) for w in leaked])
+
+    @pytest.mark.parametrize("io", ["serial", "async"])
+    def test_one_client_per_mount(self, mounts, tmp_path, io):
+        """Every request of a target — the peer list and each peer's
+        pages — goes through the mount's one client: its stats count
+        all the LG answered, and its breaker is the campaign's for
+        that mount."""
+        faults = FaultSchedule()  # no faults: only counts requests
+        with start_server(mounts, faults=faults).serve() as url:
             campaign = make_campaign(DatasetStore(tmp_path / "ds"), url,
-                                     targets=("linx", "bcix"), **self.ASYNC)
+                                     **{**self.ASYNC, "io": io})
             assert campaign.run().complete
-            assert len(pools) == 2 and all(p.opened for p in pools)
-            assert [p.open_connections() for p in pools] == [0, 0]
-            del campaign
-            pools.clear()
-            gc.collect()
-        leaked = [w for w in caught
-                  if issubclass(w.category, ResourceWarning)]
-        assert not leaked, [str(w.message) for w in leaked]
+        target = campaign.config.targets[0]
+        client = campaign.client_for(target)
+        assert client is campaign.client_for(target)
+        assert client.breaker is campaign.breakers.get("linx", 4)
+        assert client.max_inflight == (1 if io == "serial" else 8)
+        assert client.stats.requests == faults.requests_seen
 
     def test_cli_accepts_io_flag(self, mounts, tmp_path, capsys):
         from repro.cli import main

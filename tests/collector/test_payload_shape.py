@@ -1,16 +1,16 @@
-"""Looking Glass JSON that decodes but has the wrong shape.
+"""Looking Glass answers that are not what they should be.
 
 A payload that parses as JSON can still be the wrong type, miss a
 field or carry an unparseable value. Each such payload must land in
-the ``malformed_payload`` failure class on both fetch engines: a bad
+the ``malformed_payload`` failure class at both ``io`` bounds: a bad
 ``/neighbors`` fails its target, a bad routes page fails its peer,
 and every other peer and target is still collected.
-"""
 
-import json
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import urlsplit
+Below JSON, the HTTP exchange itself can break: the LG closes without
+answering, sends a status line that is not HTTP, or closes before its
+``Content-Length`` is sent. Each lands in the taxonomy too, and the
+campaign run returns.
+"""
 
 import pytest
 
@@ -26,6 +26,9 @@ from repro.collector.campaign import (
     CollectionCampaign,
 )
 from repro.lg.api import neighbors_payload, routes_payload
+from repro.lg.client import FAILURE_LG_OUTAGE, FAILURE_MALFORMED
+
+from ..support import StubLookingGlass
 
 DATE = "2021-10-04"
 BAD_PEER, GOOD_PEER = 64500, 64501
@@ -76,46 +79,6 @@ SHAPES = {
 }
 
 
-class StubLookingGlass:
-    """Canned alice-dialect JSON per ``/<ixp>/v4/api/v1`` resource; the
-    query string is ignored (every peer has a single page)."""
-
-    def __init__(self, mounts):
-        bodies = {f"/{ixp}/v4/api/v1{resource}": json.dumps(body).encode()
-                  for ixp, paths in mounts.items()
-                  for resource, body in paths.items()}
-
-        class Handler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
-
-            def do_GET(self):
-                body = bodies.get(urlsplit(self.path).path)
-                status = 200 if body is not None else 404
-                body = body if body is not None else b"{}"
-                self.send_response(status)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, *args):
-                pass
-
-        self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self.httpd.daemon_threads = True
-        self.thread = threading.Thread(target=self.httpd.serve_forever,
-                                       daemon=True)
-
-    def __enter__(self):
-        self.thread.start()
-        return f"http://127.0.0.1:{self.httpd.server_address[1]}"
-
-    def __exit__(self, *exc):
-        self.httpd.shutdown()
-        self.httpd.server_close()
-        self.thread.join()
-
-
 @pytest.mark.parametrize("io", ["serial", "async"])
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_wrong_shape_lands_in_malformed_payload(shape, io, tmp_path):
@@ -148,3 +111,41 @@ def test_wrong_shape_lands_in_malformed_payload(shape, io, tmp_path):
         assert bad.peers_collected == 1
         snapshot = store.load_snapshot("linx", 4, DATE)
         assert {r.peer_asn for r in snapshot.routes} == {GOOD_PEER}
+
+
+#: name -> (raw bytes the LG sends for ``/neighbors`` before closing,
+#: the failure class the target must end in)
+TRANSPORT_FAULTS = {
+    "remote-disconnected": (b"", FAILURE_LG_OUTAGE),
+    "bad-status-line": (b"HELLO THERE\r\n\r\n", FAILURE_MALFORMED),
+    "incomplete-read": (b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n"
+                        b"\r\n{\"neigh", FAILURE_LG_OUTAGE),
+}
+
+
+@pytest.mark.parametrize("io", ["serial", "async"])
+@pytest.mark.parametrize("fault", sorted(TRANSPORT_FAULTS))
+def test_transport_fault_fails_the_target_not_the_run(fault, io,
+                                                      tmp_path):
+    raw, failure_class = TRANSPORT_FAULTS[fault]
+    linx = good_mount([GOOD_PEER])
+    linx["/neighbors"] = raw
+    mounts = {"linx": linx, "bcix": good_mount([64600])}
+    store = DatasetStore(tmp_path / "ds")
+    config = CampaignConfig(
+        base_url="", captured_on=DATE, io=io, max_retries=1,
+        backoff_base=0.0,
+        targets=[CampaignTarget(ixp="linx", family=4),
+                 CampaignTarget(ixp="bcix", family=4)])
+    with StubLookingGlass(mounts) as url:
+        config.base_url = url
+        report = CollectionCampaign(store, config,
+                                    sleep=lambda _s: None).run()
+
+    reports = {target.ixp: target for target in report.targets}
+    bad, good = reports["linx"], reports["bcix"]
+    assert good.status == STATUS_COMPLETE
+    assert bad.status == STATUS_FAILED
+    assert [(f.asn, f.failure_class) for f in bad.failures] \
+        == [(0, failure_class)]
+    assert not store.has_snapshot("linx", 4, DATE)

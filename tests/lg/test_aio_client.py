@@ -1,18 +1,19 @@
-"""Integration tests for the event-driven LG client
-(:class:`repro.lg.aio.AsyncLookingGlassClient`): parity with the sync
-client, the shared failure taxonomy over real HTTP faults, Retry-After
-handling, and the per-mount connection cap against the server's
-concurrent-connection fault mode.
+"""Integration tests for the LG client on its :mod:`repro.net.aio`
+event loop, over real sockets: page fan-out against one fetch at a
+time, the failure taxonomy over real HTTP faults, Retry-After forms on
+the wire, the per-mount connection cap against the server's
+concurrent-connection fault mode, and socket release.
 """
 
+import gc
 import json
 import socket
 import threading
+import warnings
 
 import pytest
 
 from repro.lg import (
-    AsyncLookingGlassClient,
     FaultSchedule,
     LookingGlassClient,
     LookingGlassServer,
@@ -35,14 +36,14 @@ def lg_setup(lg_world):
     server.stop()
 
 
-def make_async(url, **kwargs):
-    defaults = dict(base_url=url, ixp="linx", family=4,
-                    backoff_base=0.001, backoff_cap=0.01, timeout=5.0)
-    defaults.update(kwargs)
-    return AsyncLookingGlassClient(**defaults)
+def make_fanout(url, **kwargs):
+    """A client allowed many fetches in flight (``max_inflight``)."""
+    kwargs.setdefault("max_inflight", 32)
+    return make_client(url, **kwargs)
 
 
-def make_sync(url, **kwargs):
+def make_client(url, **kwargs):
+    """A client at the default bound: one fetch, one connection."""
     defaults = dict(base_url=url, ixp="linx", family=4,
                     backoff_base=0.001, backoff_cap=0.01, timeout=5.0)
     defaults.update(kwargs)
@@ -50,38 +51,16 @@ def make_sync(url, **kwargs):
 
 
 class TestParity:
-    def test_status_and_config(self, lg_setup):
-        _server, url, rs, _gen = lg_setup
-        aclient = make_async(url)
-        try:
-            def stable(payload):
-                return {k: v for k, v in payload.items()
-                        if k != "generated_at"}  # wall-clock stamp
-            assert stable(aclient.status()) \
-                == stable(make_sync(url).status())
-            assert (len(aclient.config_dictionary())
-                    == len(rs.config.dictionary))
-        finally:
-            aclient.close()
-
-    def test_neighbors_match_sync(self, lg_setup):
-        _server, url, _rs, _gen = lg_setup
-        aclient = make_async(url)
-        try:
-            assert aclient.neighbors() == make_sync(url).neighbors()
-        finally:
-            aclient.close()
-
     def test_paginated_routes_identical_to_sync(self, lg_setup):
         """Page fan-out must reassemble in page order: the route list
-        is byte-for-byte the serial pagination's."""
+        is byte-for-byte the one-page-at-a-time pagination's."""
         _server, url, _rs, _gen = lg_setup
-        aclient = make_async(url, max_inflight=8)
-        sync = make_sync(url)
+        aclient = make_fanout(url, max_inflight=8)
+        single = make_client(url)
         try:
-            neighbor = max(sync.neighbors(),
+            neighbor = max(single.neighbors(),
                            key=lambda n: n.routes_accepted)
-            expected = list(sync.routes(neighbor.asn, page_size=17))
+            expected = list(single.routes(neighbor.asn, page_size=17))
             got = list(aclient.routes(neighbor.asn, page_size=17))
             assert got == expected
         finally:
@@ -89,31 +68,17 @@ class TestParity:
 
     def test_fetch_peers_matches_serial_per_peer_fetches(self, lg_setup):
         _server, url, _rs, _gen = lg_setup
-        aclient = make_async(url, max_inflight=8)
-        sync = make_sync(url)
+        aclient = make_fanout(url, max_inflight=8)
+        single = make_client(url)
         try:
             established = sorted(
-                (n for n in sync.neighbors() if n.established),
+                (n for n in single.neighbors() if n.established),
                 key=lambda n: n.asn)
             outcomes = aclient.fetch_peers(established, page_size=25)
             assert set(outcomes) == {n.asn for n in established}
             for neighbor in established[:5]:
                 assert outcomes[neighbor.asn] == list(
-                    sync.routes(neighbor.asn, page_size=25))
-        finally:
-            aclient.close()
-
-    def test_from_client_shares_stats_and_breaker(self, lg_setup):
-        _server, url, _rs, _gen = lg_setup
-        sync = make_sync(url)
-        aclient = AsyncLookingGlassClient.from_client(sync,
-                                                      max_inflight=4)
-        try:
-            before = sync.stats.requests
-            aclient.status()
-            assert sync.stats.requests == before + 1
-            assert aclient.stats is sync.stats
-            assert aclient.breaker is sync.breaker
+                    single.routes(neighbor.asn, page_size=25))
         finally:
             aclient.close()
 
@@ -121,7 +86,7 @@ class TestParity:
 class TestTaxonomy:
     def test_definitive_404_bumps_http_4xx(self, lg_setup):
         _server, url, _rs, _gen = lg_setup
-        aclient = make_async(url)
+        aclient = make_fanout(url)
         try:
             with pytest.raises(LookingGlassError):
                 list(aclient.routes(59999))
@@ -137,7 +102,7 @@ class TestTaxonomy:
             rate_per_second=100_000, burst=100_000,
             faults=FaultSchedule(malformed_every=1))
         with server.serve() as url:
-            aclient = make_async(url, max_retries=1)
+            aclient = make_fanout(url, max_retries=1)
             try:
                 with pytest.raises(MalformedPayloadError) as excinfo:
                     aclient.status()
@@ -154,7 +119,7 @@ class TestTaxonomy:
             rate_per_second=100_000, burst=100_000,
             faults=FaultSchedule(outage_windows=[(0, 2)]))
         with server.serve() as url:
-            aclient = make_async(url, max_retries=3)
+            aclient = make_fanout(url, max_retries=3)
             try:
                 # requests 0 and 1 are 503s; retry 2 succeeds
                 assert aclient.status()["status"] == "ok"
@@ -168,7 +133,7 @@ class TestTaxonomy:
         server = LookingGlassServer({("linx", 4): route_server},
                                     rate_per_second=0.001, burst=1)
         with server.serve() as url:
-            aclient = make_async(url, max_retries=1,
+            aclient = make_fanout(url, max_retries=1,
                                  retry_after_cap=0.01)
             try:
                 aclient.status()  # consumes the single burst token
@@ -239,7 +204,7 @@ class TestRetryAfterForms:
             (200, [], OK_BODY),
         ])
         try:
-            aclient = make_async(server.url, max_retries=2)
+            aclient = make_fanout(server.url, max_retries=2)
             assert aclient.status() == {"status": "ok"}
             assert aclient.stats.rate_limited == 1
             aclient.close()
@@ -247,16 +212,16 @@ class TestRetryAfterForms:
             server.close()
 
     def test_http_date_retry_after_falls_back_to_backoff(self):
-        """Regression (shared with the sync client): an HTTP-date
-        Retry-After must not crash the retry loop — the async client
-        falls back to its backoff schedule and recovers."""
+        """Regression: an HTTP-date Retry-After must not crash the
+        retry loop — the client falls back to its backoff schedule and
+        recovers."""
         server = _ScriptedHTTP([
             (429, [("Retry-After", "Fri, 31 Dec 2021 23:59:59 GMT")],
              b"later"),
             (200, [], OK_BODY),
         ])
         try:
-            aclient = make_async(server.url, max_retries=2)
+            aclient = make_fanout(server.url, max_retries=2)
             assert aclient.status() == {"status": "ok"}
             assert aclient.stats.rate_limited == 1
             aclient.close()
@@ -276,12 +241,12 @@ class TestConnectionCap:
                                     burst=100_000,
                                     connection_cap=cap)
         with server.serve() as url:
-            aclient = make_async(url, max_inflight=16,
+            aclient = make_fanout(url, max_inflight=16,
                                  max_connections=cap)
-            sync = make_sync(url)
+            single = make_client(url)
             try:
                 established = sorted(
-                    (n for n in sync.neighbors() if n.established),
+                    (n for n in single.neighbors() if n.established),
                     key=lambda n: n.asn)
                 outcomes = aclient.fetch_peers(established,
                                                page_size=20)
@@ -328,3 +293,21 @@ class TestConnectionCap:
             assert statuses.count(503) == 2
             assert server.cap_rejections == 2
             assert server.peak_connections["linx/v4"] == 2
+
+
+class TestResourceRelease:
+    def test_blocking_call_leaves_no_socket_open(self, lg_setup):
+        """A blocking method returns with every connection it used
+        closed: nothing is left for the garbage collector."""
+        _server, url, _rs, _gen = lg_setup
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            client = make_client(url)
+            assert client.status()["status"] == "ok"
+            assert client.pool.opened == 1
+            assert client.pool.open_connections() == 0
+            del client
+            gc.collect()
+        leaked = [w for w in caught
+                  if issubclass(w.category, ResourceWarning)]
+        assert not leaked, [str(w.message) for w in leaked]

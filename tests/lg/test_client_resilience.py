@@ -1,15 +1,12 @@
 """Unit tests for the hardened LG client: failure taxonomy, backoff,
 Retry-After handling, circuit breaking, and page-level retry.
 
-No sockets — ``urllib.request.urlopen`` is replaced with a scripted
-fake, so every failure mode is exact and instant.
+No sockets — ``repro.net.aio.http_request``, which the client's retry
+core calls for every attempt, is replaced with a scripted fake, so
+every failure mode is exact and instant.
 """
 
-import email.message
 import json
-import socket
-import urllib.error
-import urllib.request
 
 import pytest
 
@@ -26,47 +23,38 @@ from repro.lg.client import (
     QueryTimeoutError,
     RateLimitedError,
 )
+from repro.net import aio
 
 
 def http_error(code, retry_after=None):
-    headers = email.message.Message()
+    headers = {}
     if retry_after is not None:
-        headers["Retry-After"] = str(retry_after)
-    return urllib.error.HTTPError("http://lg/x", code, f"HTTP {code}",
-                                  headers, None)
-
-
-class FakeResponse:
-    def __init__(self, body: bytes) -> None:
-        self._body = body
-
-    def read(self) -> bytes:
-        return self._body
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return False
+        headers["retry-after"] = str(retry_after)
+    return aio.HTTPResponse(code, f"HTTP {code}", headers,
+                            b"error", reusable=True)
 
 
 @pytest.fixture
 def script(monkeypatch):
-    """Install a scripted urlopen; append bytes (200 body) or exception
-    instances. Returns the list of performed request URLs."""
+    """Install a scripted ``http_request``; append bytes (200 body),
+    ``HTTPResponse`` instances or exception instances. Returns the
+    list of performed request URLs."""
     steps = []
     urls = []
 
-    def fake_urlopen(url, timeout=None):
+    def fake_http_request(pool, method, url, headers=None, timeout=None):
         urls.append(url)
         if not steps:
             raise AssertionError("unscripted request: " + url)
         step = steps.pop(0)
         if isinstance(step, BaseException):
             raise step
-        return FakeResponse(step)
+        if isinstance(step, bytes):
+            step = aio.HTTPResponse(200, "OK", {}, step, reusable=True)
+        return step
+        yield  # a coroutine, like the real one
 
-    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+    monkeypatch.setattr(aio, "http_request", fake_http_request)
     return steps, urls
 
 
@@ -114,6 +102,7 @@ class TestRetryAfter:
         with pytest.raises(RateLimitedError) as excinfo:
             client.status()
         assert excinfo.value.failure_class == "rate_limited"
+        assert client.stats.rate_limited == 3
 
     def test_http_date_retry_after_falls_back_to_backoff(self, script):
         """Regression: an HTTP-date Retry-After (RFC 9110's other legal
@@ -166,13 +155,46 @@ class TestTaxonomy:
 
     def test_timeout(self, script):
         steps, _urls = script
-        steps += [urllib.error.URLError(socket.timeout("timed out")),
-                  TimeoutError("timed out")]
+        steps += [aio.IOTimeout("I/O wait exceeded 0.5s"),
+                  aio.IOTimeout("I/O wait exceeded 0.5s")]
         client, _sleeps = make_client(max_retries=1, timeout=0.5)
         with pytest.raises(QueryTimeoutError) as excinfo:
             client.status()
         assert excinfo.value.failure_class == "timeout"
         assert client.stats.timeouts == 2
+
+    def test_undecodable_http_framing_is_malformed(self, script):
+        """A status line or header that is not HTTP/1.1 is retried and
+        lands in malformed_payload, counted with bad JSON bodies."""
+        steps, _urls = script
+        steps += [aio.ProtocolError("bad status line: b'HELLO THERE'"),
+                  aio.ProtocolError("bad chunk size: b'zz'")]
+        client, _sleeps = make_client(max_retries=1)
+        with pytest.raises(MalformedPayloadError) as excinfo:
+            client.status()
+        assert excinfo.value.failure_class == "malformed_payload"
+        assert client.stats.malformed == 2
+
+    def test_lost_connections_are_outages(self, script):
+        """The LG closing, resetting or refusing the connection is an
+        outage, not an escaping socket error."""
+        steps, _urls = script
+        steps += [aio.ConnectionClosed("EOF inside response head"),
+                  ConnectionRefusedError(111, "Connection refused")]
+        client, _sleeps = make_client(max_retries=1)
+        with pytest.raises(OutageError) as excinfo:
+            client.status()
+        assert excinfo.value.failure_class == "lg_outage"
+        assert client.stats.requests == 2
+        assert client.stats.retries == 1
+
+    def test_outage_then_recovery_counts_retries(self, script):
+        steps, _urls = script
+        steps += [http_error(503), http_error(503), OK_STATUS]
+        client, _sleeps = make_client(max_retries=3)
+        assert client.status() == {"status": "ok"}
+        assert client.stats.server_errors == 2
+        assert client.stats.retries == 2
 
     def test_server_errors_are_outages(self, script):
         steps, _urls = script

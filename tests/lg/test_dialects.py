@@ -147,12 +147,21 @@ class TestEndToEnd:
         with pytest.raises(LookingGlassError):
             list(client.routes(1, filtered=True))
 
-    def test_scraper_works_over_birdseye(self, served, linx_generator):
-        from repro.collector import SnapshotScraper
+    def test_scraper_works_over_birdseye(self, served, linx_generator,
+                                         tmp_path):
+        from repro.collector import DatasetStore
+        from repro.collector.campaign import (
+            CampaignConfig,
+            CampaignTarget,
+            CollectionCampaign,
+        )
         _server, url = served
-        client = LookingGlassClient(url, "linx", 4, dialect="birdseye",
-                                    sleep=lambda s: None)
-        report = SnapshotScraper(client).collect("2021-10-04")
+        store = DatasetStore(tmp_path / "ds")
+        report = CollectionCampaign(store, CampaignConfig(
+            base_url=url, captured_on="2021-10-04",
+            targets=[CampaignTarget(ixp="linx", family=4,
+                                    dialect="birdseye")])).run()
         assert report.complete
         direct = linx_generator.snapshot(4, degraded=False)
-        assert report.snapshot.route_count == direct.route_count
+        snapshot = store.load_snapshot("linx", 4, "2021-10-04")
+        assert snapshot.route_count == direct.route_count

@@ -1,9 +1,15 @@
-"""Integration tests: LG HTTP server + client + scraper."""
+"""Integration tests: LG HTTP server + client + a collection over
+them."""
 
 import pytest
 
-from repro.collector import SnapshotScraper
-from repro.ixp import dictionary_pair_for, get_profile
+from repro.collector import DatasetStore
+from repro.collector.campaign import (
+    CampaignConfig,
+    CampaignTarget,
+    CollectionCampaign,
+)
+from repro.ixp import CommunityDictionary, dictionary_pair_for, get_profile
 from repro.lg import (
     LookingGlassClient,
     LookingGlassError,
@@ -115,12 +121,15 @@ class TestResilience:
 
 
 class TestScraper:
-    def test_collect_produces_equivalent_snapshot(self, lg_setup):
+    def test_collect_produces_equivalent_snapshot(self, lg_setup,
+                                                  tmp_path):
         _server, url, rs, gen = lg_setup
-        scraper = SnapshotScraper(make_client(url))
-        report = scraper.collect("2021-10-04")
+        store = DatasetStore(tmp_path / "ds")
+        report = CollectionCampaign(store, CampaignConfig(
+            base_url=url, captured_on="2021-10-04",
+            targets=[CampaignTarget(ixp="linx", family=4)])).run()
         assert report.complete
-        snapshot = report.snapshot
+        snapshot = store.load_snapshot("linx", 4, "2021-10-04")
         assert snapshot.member_count == len(rs.peer_asns())
         assert snapshot.route_count == len(rs.accepted_routes())
         direct = gen.snapshot(4, degraded=False)
@@ -131,8 +140,9 @@ class TestScraper:
         _server, url, _rs, gen = lg_setup
         profile = get_profile("linx")
         _rs_dict, website = dictionary_pair_for(profile)
-        scraper = SnapshotScraper(make_client(url))
-        merged = scraper.fetch_dictionary(website)
+        rs_dictionary = make_client(url).config_dictionary()
+        merged = CommunityDictionary.union(rs_dictionary.ixp_name,
+                                           rs_dictionary, website)
         assert len(merged) == profile.dictionary_size
 
 

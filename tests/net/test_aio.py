@@ -3,6 +3,7 @@ loop scheduling, timer wheel, semaphore discipline, the HTTP/1.1 client
 codec against a scripted socket server, and the capped keep-alive pool.
 """
 
+import selectors
 import socket
 import threading
 import time
@@ -155,6 +156,56 @@ class TestEventLoop:
         while loop.live_tasks:
             loop.run_once()
         assert order == ["fast", "slow"]
+
+    def test_injected_sleep_gets_exact_delays_and_resumes_at_once(self):
+        """With ``sleep`` set, a task's ``aio.sleep(s)`` calls it with
+        exactly ``s`` and resumes without a loop timer."""
+        naps = []
+        loop = EventLoop(sleep=naps.append)
+
+        def napper():
+            for delay in (0.1, 0.2, 3600.0):
+                yield from aio.sleep(delay)
+            return "awake"
+
+        started = time.monotonic()
+        task = loop.spawn(napper(), "napper")
+        assert loop.run_until_complete(task) == "awake"
+        assert naps == [0.1, 0.2, 3600.0]
+        assert len(loop.timers) == 0
+        assert time.monotonic() - started < 1.0
+
+    def test_injected_sleep_leaves_io_timeouts_real(self):
+        """Virtual sleeps do not advance the loop's clock: an I/O wait
+        beside a task sleeping virtual hours still gets its data, not
+        a spurious :class:`IOTimeout`."""
+        clock = {"now": 0.0}
+
+        def fake_sleep(seconds):
+            clock["now"] += seconds
+
+        loop = EventLoop(sleep=fake_sleep)
+        left, right = socket.socketpair()
+        left.setblocking(False)
+        try:
+            def reader():
+                yield from aio.wait_io(left, selectors.EVENT_READ,
+                                       timeout=5.0)
+                return left.recv(16)
+
+            def sleeper():
+                for _ in range(10):
+                    yield from aio.sleep(3600.0)
+                right.sendall(b"late")
+
+            loop.spawn(sleeper(), "sleeper")
+            task = loop.spawn(reader(), "reader")
+            assert loop.run_until_complete(task) == b"late"
+            assert clock["now"] == 36000.0
+        finally:
+            left.close()
+            right.close()
+            loop.close()
 
     def test_task_error_propagates(self):
         loop = EventLoop()
