@@ -70,8 +70,8 @@ import types
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import (Any, Callable, Dict, Generator, List, Optional,
+                    Sequence, Set, Tuple)
 
 from .. import obs
 from ..bgp.route import Route, RouteDecodeMemo
@@ -579,9 +579,11 @@ class CollectionCampaign:
                 target.ixp, target.family, captured_on)
 
         client = self.client_for(target)
-        try:
-            neighbors = client.neighbors()
-        except LookingGlassError as error:
+        neighbors, error, skips = client.run(
+            self._attempt_ladder(client, client.neighbors_coro),
+            "neighbors")
+        report.circuit_open_skips += skips
+        if error is not None:
             report.status = STATUS_FAILED
             report.error = str(error)
             report.failures.append(PeerFailure(
@@ -707,6 +709,45 @@ class CollectionCampaign:
                                       report)
                 since_checkpoint = 0
 
+    def _attempt_ladder(self, client: LookingGlassClient,
+                        fetch: Callable[[], Generator],
+                        ) -> Generator[Any, Any, Tuple[
+                            Any, Optional[LookingGlassError], int]]:
+        """Run ``fetch()`` (one LG fetch coroutine, with the client's
+        own retries) up to ``peer_attempts`` times, as a coroutine:
+        transient errors are retried, a definitive error fails at once,
+        and an open breaker is waited out once. Returns ``(result,
+        None, skips)`` or ``(None, last error, skips)``, where ``skips``
+        counts the breaker's refusals. The neighbor list and every
+        peer's routes go through this one ladder."""
+        attempts = max(1, self.config.peer_attempts)
+        skips = 0
+        last: Optional[LookingGlassError] = None
+        for attempt in range(attempts):
+            try:
+                return (yield from fetch()), None, skips
+            except CircuitOpenError as error:
+                # The mount is known-down: wait out the cooldown once
+                # rather than burning attempts against a tripped
+                # breaker.
+                skips += 1
+                last = error
+                cooldown = (client.breaker.seconds_until_probe
+                            if client.breaker is not None else 0.0)
+                if attempt < attempts - 1 and cooldown > 0:
+                    # cushion past the cooldown boundary: sleeping the
+                    # exact remainder can land short of the threshold
+                    # (float rounding, coarse clocks) and deadlock the
+                    # probe.
+                    yield from aio.sleep(cooldown + 1e-3)
+            except TransientError as error:
+                last = error
+            except LookingGlassError as error:
+                last = error
+                break  # definitive (4xx-style) — retrying is pointless
+        assert last is not None
+        return None, last, skips
+
     def _collect_peer_coro(self, client: LookingGlassClient,
                            neighbor: NeighborSummary,
                            target: CampaignTarget,
@@ -720,40 +761,16 @@ class CollectionCampaign:
         metrics.inflight_peers.labels(*mount).inc()
         fetch_started = time.perf_counter()
         try:
-            attempts = max(1, self.config.peer_attempts)
-            skips = 0
-            last: Optional[LookingGlassError] = None
-            for attempt in range(attempts):
-                try:
-                    routes = yield from client.peer_routes_coro(
-                        neighbor.asn,
-                        page_size=self.config.page_size)
-                    return _PeerOutcome(routes=routes,
-                                        circuit_open_skips=skips)
-                except CircuitOpenError as error:
-                    # The mount is known-down: wait out the cooldown
-                    # once rather than burning attempts against a
-                    # tripped breaker.
-                    skips += 1
-                    last = error
-                    cooldown = (client.breaker.seconds_until_probe
-                                if client.breaker is not None else 0.0)
-                    if attempt < attempts - 1 and cooldown > 0:
-                        # cushion past the cooldown boundary: sleeping
-                        # the exact remainder can land short of the
-                        # threshold (float rounding, coarse clocks) and
-                        # deadlock the probe.
-                        yield from aio.sleep(cooldown + 1e-3)
-                except TransientError as error:
-                    last = error
-                except LookingGlassError as error:
-                    last = error
-                    break  # definitive (4xx-style) — retrying is pointless
-            assert last is not None
+            routes, error, skips = yield from self._attempt_ladder(
+                client, lambda: client.peer_routes_coro(
+                    neighbor.asn, page_size=self.config.page_size))
+            if error is None:
+                return _PeerOutcome(routes=routes,
+                                    circuit_open_skips=skips)
             return _PeerOutcome(
                 failure=PeerFailure(
-                    asn=neighbor.asn, failure_class=last.failure_class,
-                    error=str(last)),
+                    asn=neighbor.asn, failure_class=error.failure_class,
+                    error=str(error)),
                 circuit_open_skips=skips)
         finally:
             metrics.inflight_peers.labels(*mount).dec()

@@ -246,10 +246,14 @@ class DatasetStore:
                         gz: bool, compresslevel: int = 9) -> Path:
         data, digest = encode_artefact(payload, kind, gz=gz,
                                        compresslevel=compresslevel)
-        fsyncs = atomic_write(path, data, kind=kind, crash=self._crash)
-        rel = path.relative_to(self._scope_dir(path)).as_posix()
-        with self._manifest_guard(self._scope_dir(path)):
-            manifest = Manifest.load(self._scope_dir(path))
+        scope = self._scope_dir(path)
+        rel = path.relative_to(scope).as_posix()
+        # the rename and the manifest entry form one critical section:
+        # two writers of one path cannot leave one's bytes under the
+        # other's recorded digest.
+        with self._manifest_guard(scope):
+            fsyncs = atomic_write(path, data, kind=kind, crash=self._crash)
+            manifest = Manifest.load(scope)
             manifest.record(rel, digest, len(data), kind)
             fsyncs += manifest.save(crash=self._crash)
         metrics = _METRICS()

@@ -526,9 +526,16 @@ class LookingGlassClient:
                                                 self.dialect))
         return routes
 
+    def neighbors_coro(self,
+                       ) -> Generator[Any, Any, List[api.NeighborSummary]]:
+        """The mount's neighbor list (dialect-aware)."""
+        from . import dialects
+        payload = yield from self._get_raw_coro(self._neighbors_url())
+        return dialects.parse_neighbors(payload, self.dialect)
+
     # -- blocking methods ---------------------------------------------------
 
-    def _run(self, coro: Generator, name: str) -> Any:
+    def run(self, coro: Generator, name: str) -> Any:
         """Run one coroutine to completion on the client's loop. The
         pool's idle connections are closed before returning, so a
         blocking call leaves no socket open."""
@@ -539,8 +546,8 @@ class LookingGlassClient:
             self.pool.close_all()
 
     def _get(self, resource: str) -> Dict[str, Any]:
-        return self._run(self._get_raw_coro(self._url(resource)),
-                         f"get:{resource}")
+        return self.run(self._get_raw_coro(self._url(resource)),
+                        f"get:{resource}")
 
     def status(self) -> Dict[str, Any]:
         return self._get("/status")
@@ -550,16 +557,13 @@ class LookingGlassClient:
         return CommunityDictionary.from_dict(self._get("/config"))
 
     def neighbors(self) -> List[api.NeighborSummary]:
-        from . import dialects
-        payload = self._run(self._get_raw_coro(self._neighbors_url()),
-                            "neighbors")
-        return dialects.parse_neighbors(payload, self.dialect)
+        return self.run(self.neighbors_coro(), "neighbors")
 
     def routes(self, asn: int, filtered: bool = False,
                page_size: int = api.DEFAULT_PAGE_SIZE) -> Iterator[Route]:
         """All (accepted or filtered) routes of one neighbor, following
         pagination (dialect-aware)."""
-        return iter(self._run(
+        return iter(self.run(
             self.peer_routes_coro(asn, filtered, page_size),
             f"routes:{asn}"))
 
@@ -590,7 +594,7 @@ class LookingGlassClient:
                     raise task.error  # a bug, not a taxonomy failure
             return {asn: task.result for asn, task in tasks.items()}
 
-        return self._run(fan_out(), "fetch_peers")
+        return self.run(fan_out(), "fetch_peers")
 
     def all_routes(self, filtered: bool = False) -> List[Route]:
         """Accepted (or filtered) routes of every established neighbor —

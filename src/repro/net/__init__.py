@@ -13,9 +13,12 @@ Both HTTP front doors of this repository — the simulated Looking Glass
 * the shared full-jitter backoff schedule (:mod:`repro.net.backoff`)
   every retry loop in the repository draws its delays from — the LG
   client, dispatch work stealing, and filesystem fault retries, and
-* the client-side event-driven I/O substrate (:mod:`repro.net.aio`):
-  a selectors event loop, HTTP/1.1 client codec, and capped keep-alive
-  connection pool behind the LG client.
+* the event-driven I/O substrate (:mod:`repro.net.aio`): a selectors
+  event loop, HTTP/1.1 client codec, and capped keep-alive connection
+  pool behind the LG client, and
+* the server side on that loop (:mod:`repro.net.httpserver`): an
+  HTTP/1.1 server codec and a one-thread accept/read/write loop
+  behind the query API.
 
 Keeping them here (rather than inside ``repro.lg``) lets the query
 service depend on the rate limiter without importing the Looking

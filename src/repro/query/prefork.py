@@ -1,7 +1,7 @@
 """Pre-fork worker supervisor: N processes, one listening port.
 
-Python's GIL caps a single ``ThreadingHTTPServer`` at roughly one core
-of useful work, so the scale story is processes, exactly like the
+Each worker serves from one event loop on one thread, so one worker
+does at most one core of useful work and the scale story is processes, exactly like the
 collection engine's dispatch workers. Two sharing strategies, picked
 at runtime:
 
@@ -11,7 +11,8 @@ at runtime:
   passing, no thundering herd;
 * **inherited FD** (everywhere ``fork`` exists) — the supervisor binds
   one socket before forking and every worker accepts on the inherited
-  FD; the kernel wakes one acceptor per connection.
+  FD; every worker's loop may wake for one connection, and the losers'
+  ``accept`` raises ``BlockingIOError``.
 
 Platforms without ``fork`` (or ``workers=1``) serve in-process — same
 code path as a single pre-fork worker, no supervisor.

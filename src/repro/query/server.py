@@ -1,16 +1,21 @@
 """Query API HTTP server (stdlib only).
 
-One worker process: a ``ThreadingHTTPServer`` whose handler delegates
-to :meth:`QueryHTTPServer.handle` — a socket-free function from
-``(path, If-None-Match)`` to ``(status, body, headers, route)`` that
-unit tests exercise directly, exactly like the Looking Glass server.
+One worker process serves from one event loop on one thread:
+:class:`repro.net.httpserver.LoopHTTPServer` accepts, reads and writes
+non-blocking sockets on a :class:`repro.net.aio.EventLoop` and calls
+:meth:`QueryHTTPServer.handle` inline for every parsed request.
+``handle`` is a socket-free function from ``(path, If-None-Match)`` to
+``(status, body, headers, route)`` that unit tests exercise directly,
+exactly like the Looking Glass server.
 
 Request discipline, in order:
 
 1. ``/metrics`` and ``/healthz`` are the ops plane: never rate
    limited, never shed — an overloaded server must stay observable;
 2. **overload shedding** — more than ``max_inflight`` requests already
-   in flight answers 503 + ``Retry-After`` without doing any work;
+   in flight answers 503 + ``Retry-After`` without doing any work. A
+   request is in flight from the moment its head is parsed until its
+   last byte is handed to the kernel, so a slow reader counts;
 3. **rate limiting** — the shared :class:`repro.net.TokenBucket`
    answers 429 + ``Retry-After`` (always positive, see the net
    module) when clients query too fast;
@@ -21,25 +26,29 @@ Request discipline, in order:
 5. ETag revalidation / response cache / body build, all inside
    :meth:`repro.query.views.QueryService.respond`.
 
-``stop()`` is a graceful drain: the accept loop is shut down, then
-``server_close`` joins every in-flight handler thread (non-daemon,
-``block_on_close``) before returning — the pre-fork supervisor calls
-this on SIGTERM, so a worker never kills a response mid-write.
+Builds run inline on the loop: while a worker rebuilds a body it
+answers nothing else, ``/metrics`` included (other workers still
+serve). GET and HEAD both count in the request, latency and in-flight
+metrics; a HEAD answers a GET's headers without its body.
+
+``stop()`` is a graceful drain: the server stops accepting, closes
+idle keep-alive connections, finishes the responses being written
+(bounded), then closes the listening socket — the pre-fork supervisor
+calls this on SIGTERM, so a worker never kills a response mid-write.
 """
 
 from __future__ import annotations
 
 import contextlib
 import socket
-import threading
 import time
 import types
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 from urllib.parse import urlparse
 
 from .. import obs
 from ..lg.breaker import CircuitBreaker
+from ..net.httpserver import LoopHTTPServer, Request
 from ..net.ratelimit import TokenBucket
 from .router import Router, UNKNOWN
 from .views import JSON_TYPE, QueryService, Response, _error_body
@@ -64,16 +73,6 @@ _METRICS = obs.MetricSet(lambda reg: types.SimpleNamespace(
         "Response outcomes by source (cache_hit / cache_miss / "
         "not_modified)", ("event",)),
 ))
-
-
-class _DrainingHTTPServer(ThreadingHTTPServer):
-    """Handler threads are joined on close — that's the drain."""
-
-    daemon_threads = False
-    block_on_close = True
-    # a second accept can land between shutdown() and close; don't
-    # linger on it.
-    request_queue_size = 128
 
 
 class QueryHTTPServer:
@@ -101,9 +100,7 @@ class QueryHTTPServer:
         if sock is not None:
             self.host, self.port = sock.getsockname()[:2]
         self._inflight = 0
-        self._inflight_lock = threading.Lock()
-        self._httpd: Optional[_DrainingHTTPServer] = None
-        self._thread: Optional[threading.Thread] = None
+        self._http: Optional[LoopHTTPServer] = None
 
     # -- request handling (framework-free) ------------------------------
 
@@ -172,109 +169,49 @@ class QueryHTTPServer:
         return headers
 
     def _admit(self) -> bool:
-        with self._inflight_lock:
-            return self._inflight <= self.max_inflight
+        return self._inflight <= self.max_inflight
 
     @contextlib.contextmanager
     def _track(self) -> Iterator[None]:
-        with self._inflight_lock:
-            self._inflight += 1
+        # only the loop thread serves, so the count needs no lock.
+        self._inflight += 1
         _METRICS().inflight.inc()
         try:
             yield
         finally:
-            with self._inflight_lock:
-                self._inflight -= 1
+            self._inflight -= 1
             _METRICS().inflight.dec()
 
-    # -- HTTP plumbing ---------------------------------------------------
+    # -- transport ---------------------------------------------------------
 
-    def _make_handler(self):
-        outer = self
-
-        class Handler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
-            # bounds the drain: an idle keep-alive connection times
-            # out and closes within this many seconds, so stop()'s
-            # handler join cannot hang on a quiet client.
-            timeout = 10
-            #: headers and body are separate small writes; with Nagle
-            #: on, the body waits out the client's delayed ACK (~40ms)
-            #: on every back-to-back keep-alive response.
-            disable_nagle_algorithm = True
-
-            def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
-                started = time.perf_counter()
-                with outer._track():
-                    status, body, headers, route = outer.handle(
-                        self.path,
-                        self.headers.get("If-None-Match"))
-                metrics = _METRICS()
-                metrics.requests.labels(route, str(status)).inc()
-                metrics.latency.labels(route).observe(
-                    time.perf_counter() - started)
-                try:
-                    self.send_response(status)
-                    self.send_header(
-                        "Content-Type",
-                        headers.pop("Content-Type", JSON_TYPE))
-                    self.send_header("Content-Length", str(len(body)))
-                    for name, value in headers.items():
-                        self.send_header(name, value)
-                    self.end_headers()
-                    if body:
-                        self.wfile.write(body)
-                except (BrokenPipeError, ConnectionResetError):
-                    pass  # the client gave up — nothing to answer
-
-            def do_HEAD(self) -> None:  # noqa: N802 (stdlib naming)
-                status, body, headers, route = outer.handle(
-                    self.path, self.headers.get("If-None-Match"))
-                _METRICS().requests.labels(route, str(status)).inc()
-                try:
-                    self.send_response(status)
-                    self.send_header(
-                        "Content-Type",
-                        headers.pop("Content-Type", JSON_TYPE))
-                    self.send_header("Content-Length", str(len(body)))
-                    for name, value in headers.items():
-                        self.send_header(name, value)
-                    self.end_headers()
-                except (BrokenPipeError, ConnectionResetError):
-                    pass
-
-            def log_message(self, fmt: str, *args: object) -> None:
-                pass  # metrics are the access log
-
-        return Handler
-
-    def _make_httpd(self) -> _DrainingHTTPServer:
-        handler = self._make_handler()
-        if self._given_socket is None:
-            return _DrainingHTTPServer((self.host, self.port), handler)
-        # adopt the supervisor's bound+listening socket: skip bind
-        # (another process may share the FD) but fill in the fields
-        # server_bind would have set.
-        httpd = _DrainingHTTPServer(
-            self._given_socket.getsockname()[:2], handler,
-            bind_and_activate=False)
-        httpd.socket.close()
-        httpd.socket = self._given_socket
-        httpd.server_address = self._given_socket.getsockname()[:2]
-        httpd.server_name = self.host
-        httpd.server_port = self.port
-        return httpd
+    @contextlib.contextmanager
+    def _exchange(self, request: Request,
+                  ) -> Iterator[Tuple[int, Iterable[Tuple[str, str]],
+                                      bytes]]:
+        """One request for the loop: in flight until the loop has
+        handed the response's last byte to the kernel."""
+        started = time.perf_counter()
+        with self._track():
+            status, body, headers, route = self.handle(
+                request.target, request.headers.get("if-none-match"))
+            metrics = _METRICS()
+            metrics.requests.labels(route, str(status)).inc()
+            metrics.latency.labels(route).observe(
+                time.perf_counter() - started)
+            yield status, headers.items(), body
 
     def start(self) -> str:
-        """Serve in a background thread; returns the base URL."""
-        if self._httpd is not None:
+        """Serve on a background event-loop thread; returns the base
+        URL."""
+        if self._http is not None:
             raise RuntimeError("server already started")
-        self._httpd = self._make_httpd()
-        self.host, self.port = self._httpd.server_address[:2]
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name="query-api", daemon=True)
-        self._thread.start()
+        sock = self._given_socket
+        if sock is None:
+            sock = socket.create_server((self.host, self.port),
+                                        backlog=128)
+        self.host, self.port = sock.getsockname()[:2]
+        self._http = LoopHTTPServer(sock, self._exchange)
+        self._http.start()
         return self.base_url
 
     @property
@@ -282,15 +219,12 @@ class QueryHTTPServer:
         return f"http://{self.host}:{self.port}"
 
     def stop(self) -> None:
-        """Stop accepting, then drain: joins in-flight handlers."""
-        if self._httpd is None:
+        """Stop accepting, then drain: close idle connections, finish
+        the responses being written, close the socket."""
+        if self._http is None:
             return
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        self._httpd = None
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
+        self._http.stop()
+        self._http = None
 
     @contextlib.contextmanager
     def serve(self) -> Iterator[str]:

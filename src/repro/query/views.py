@@ -184,6 +184,8 @@ class QueryService:
         self.responses = response_cache or ResponseCache()
         self._figure_aliases = _figure_aliases()
         self._lock = threading.RLock()
+        #: (store root stat signature, IXPs listed under it).
+        self._ixps_memo: Optional[Tuple[object, Tuple[str, ...]]] = None
         #: ixp → (manifest stat signature, per-family addresses).
         self._address_memo: Dict[
             str, Tuple[object, Tuple[KeyAddress, ...]]] = {}
@@ -215,8 +217,21 @@ class QueryService:
         if self._configured_ixps is not None:
             return list(self._configured_ixps)
         # unconfigured: serve every known-profile IXP the store holds
-        # (foreign directories have no scheme to fall back on).
-        return [ixp for ixp in self.store.ixps() if ixp in ALL_IXPS]
+        # (foreign directories have no scheme to fall back on). The
+        # listing is memoised on the root's stat signature: adding or
+        # removing a directory moves its mtime and link count.
+        try:
+            stat = os.stat(self.store.root)
+            signature: object = (stat.st_mtime_ns, stat.st_nlink,
+                                 stat.st_ino)
+        except OSError:
+            signature = None
+        memo = self._ixps_memo
+        if signature is None or memo is None or memo[0] != signature:
+            memo = (signature, tuple(
+                ixp for ixp in self.store.ixps() if ixp in ALL_IXPS))
+            self._ixps_memo = memo
+        return list(memo[1])
 
     def _manifest_signature(self, ixp: str) -> object:
         path = self.store.root / ixp / "MANIFEST.json"

@@ -286,6 +286,37 @@ class TestFaultInjection:
         assert target.error
         assert not store.has_snapshot("amsix", 4, DATE)
 
+    def test_neighbor_list_gets_the_peer_attempt_ladder(
+            self, mounts, tmp_path, monkeypatch):
+        """One exhausted /neighbors fetch (503 for every one of the
+        client's max_retries + 1 tries) must not fail the target: the
+        neighbor list is retried under peer_attempts like a peer."""
+        from repro.net import aio
+
+        real_request = aio.http_request
+        failures = {"left": 2}  # max_retries=1: one exhausted fetch
+
+        def flaky_neighbors(pool, method, url, headers=None,
+                            timeout=None):
+            if url.endswith("/neighbors") and failures["left"]:
+                failures["left"] -= 1
+                return aio.HTTPResponse(503, "Service Unavailable", {},
+                                        b"{}", reusable=True)
+                yield  # a coroutine, like the real one
+            return (yield from real_request(pool, method, url, headers,
+                                            timeout))
+
+        monkeypatch.setattr(aio, "http_request", flaky_neighbors)
+        store = DatasetStore(tmp_path / "ds")
+        with start_server(mounts).serve() as url:
+            report = make_campaign(store, url, max_retries=1,
+                                   peer_attempts=2).run()
+        assert failures["left"] == 0
+        target = report.targets[0]
+        assert target.status == STATUS_COMPLETE, target.error
+        assert store.has_snapshot("linx", 4, DATE)
+
+
 class TestGracefulShutdown:
     def test_shutdown_parks_then_resume_completes(self, mounts,
                                                   tmp_path):

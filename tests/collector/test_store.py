@@ -330,6 +330,62 @@ class TestIntegrityFailures:
         assert not errors
 
 
+    def test_two_writers_of_one_path_leave_a_matching_manifest(
+            self, tmp_path):
+        """Two store instances on one root, as two processes would
+        have. Writer A pauses after renaming its file into place and
+        before recording it; writer B rewrites the same date
+        meanwhile. The file's digest must still equal its manifest
+        entry: the write and its record are one critical section."""
+        from repro.collector.fsck import fsck_store
+        from repro.collector.integrity import decode_artefact
+        from repro.collector.manifest import Manifest
+
+        class PauseAfterRename:
+            def __init__(self):
+                self.paused = threading.Event()
+                self.resume = threading.Event()
+
+            def check(self, label):
+                if label == "snapshot:renamed" \
+                        and not self.paused.is_set():
+                    self.paused.set()
+                    # B, if it can, finishes its whole write now; with
+                    # the write inside the guard it cannot, and A goes
+                    # on alone after the bound.
+                    self.resume.wait(timeout=1.0)
+
+        root = tmp_path / "dataset"
+        hook = PauseAfterRename()
+        writer_a = DatasetStore(root, crash_schedule=hook)
+        writer_b = DatasetStore(root)
+        date = "2021-07-19"
+
+        def write_b():
+            writer_b.save_snapshot(Snapshot(
+                ixp="linx", family=4, captured_on=date,
+                meta={"writer": "b"}))
+            hook.resume.set()
+
+        thread_a = threading.Thread(target=writer_a.save_snapshot, args=(
+            Snapshot(ixp="linx", family=4, captured_on=date,
+                     meta={"writer": "a"}),))
+        thread_a.start()
+        assert hook.paused.wait(timeout=30)
+        thread_b = threading.Thread(target=write_b)
+        thread_b.start()
+        thread_a.join(timeout=30)
+        thread_b.join(timeout=30)
+
+        path = root / "linx" / "v4" / f"{date}.json.gz"
+        _payload, digest, _verified = decode_artefact(
+            path.read_bytes(), kind="snapshot", gz=True, path=path)
+        entry = Manifest.load(root / "linx").entries["v4/" + path.name]
+        assert entry["sha256"] == digest
+        report = fsck_store(DatasetStore(root))
+        assert report.clean, report.findings
+
+
 class TestNameValidation:
     @pytest.mark.parametrize("bad", [
         "../evil", "a/b", "", ".hidden", "linx\x00", "a b",

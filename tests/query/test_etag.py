@@ -145,3 +145,42 @@ class TestInvalidation:
         after = service.respond("aggregate", {"ixp": "linx",
                                               "family": "4"})
         assert after.etag != before.etag
+
+
+class TestStoreListingMemo:
+    def test_warm_probes_do_not_list_the_store(self, qstore, monkeypatch):
+        """Without configured IXPs the service lists the store root
+        only when the root's stat signature moves; a new IXP directory
+        moves it, so the IXP appears and the ETag moves."""
+        import json
+
+        from repro.ixp import get_profile
+        from repro.query import QueryHTTPServer
+        from repro.workload import SnapshotGenerator
+
+        from ..conftest import TINY
+
+        server = QueryHTTPServer(QueryService(qstore, families=FAMILIES),
+                                 rate_per_second=100_000, burst=100_000)
+        status, _body, headers, _route = server.handle("/v1/ixps")
+        assert status == 200
+        listings = []
+        listing = type(qstore).ixps
+
+        def counted(store):
+            listings.append(store)
+            return listing(store)
+
+        monkeypatch.setattr(type(qstore), "ixps", counted)
+        for _ in range(100):
+            assert server.handle("/v1/ixps")[2]["ETag"] == headers["ETag"]
+        assert listings == []
+
+        generator = SnapshotGenerator(get_profile("bcix"), TINY)
+        qstore.save_dictionary("bcix", generator.dictionary)
+        qstore.save_snapshot(generator.snapshot(4, 0, degraded=False))
+        status, body, moved, _route = server.handle("/v1/ixps")
+        assert status == 200
+        assert "bcix" in [row["ixp"] for row in json.loads(body)]
+        assert moved["ETag"] != headers["ETag"]
+        assert listings
