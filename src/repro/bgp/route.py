@@ -9,7 +9,18 @@ and the three lists of BGP communities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, FrozenSet, Iterable, Optional, Tuple
+from ipaddress import IPv6Address
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+)
 
 from .aspath import AsPath
 from .communities import (
@@ -121,8 +132,10 @@ class Route:
 
         Pass one *memo* for every route of one payload (a snapshot, an
         LG page) so each distinct prefix, AS-path and community string
-        is parsed once; without one, this route gets a memo of its own.
-        Either way the route equals the one the constructor builds.
+        is parsed once, or at most once per series when the memo is a
+        :meth:`RouteDecodeMemo.successor`; without one, this route gets
+        a memo of its own. Either way the route equals the one the
+        constructor builds.
         """
         if memo is None:
             memo = RouteDecodeMemo()
@@ -149,63 +162,146 @@ class Route:
         return route
 
 
-class RouteDecodeMemo:
-    """Parse results shared by the routes of one JSON payload.
+#: the fallback of a memo that has none. Only ever read; a plain dict,
+#: because a ``MappingProxyType``'s ``get`` costs a method lookup on
+#: every miss.
+_NO_OLDER: Mapping[Any, Any] = {}
 
-    Within a snapshot or an LG page the same prefixes, AS paths and
-    community lists repeat on many routes. The memo maps each distinct
-    raw value to its parsed form: a prefix string to its canonical
-    form, an AS-path string to one :class:`AsPath`, a community string
-    to one community, and a community list to one shared ``frozenset``.
 
-    A caller creates one per payload and drops it with the payload, so
-    its size is bounded by what is being decoded. Only successful
-    parses are stored and only ``str`` values are keys: malformed input
-    reaches the parser every time and raises what it always raises.
+class _Generation(dict):
+    """One generation of a memo table: raw value -> parsed value.
+
+    A missing key is looked up in the previous generation (``older``)
+    before it is parsed, and kept either way, so a generation holds
+    every value its payload used: what was parsed for it and what was
+    carried over. ``parse`` raising stores nothing.
     """
 
-    __slots__ = ("prefixes", "paths", "communities", "sets")
+    __slots__ = ("parse", "older")
 
-    def __init__(self) -> None:
-        self.prefixes: Dict[str, str] = {}
-        self.paths: Dict[str, AsPath] = {}
-        self.communities: Dict[str, Community] = {}
-        self.sets: Dict[Tuple[str, ...], FrozenSet[Community]] = {}
+    def __init__(self, parse: Callable[[Any], Any],
+                 older: Mapping[Any, Any]) -> None:
+        super().__init__()
+        self.parse = parse
+        self.older = older
+
+    def __missing__(self, key: Any) -> Any:
+        value = self.older.get(key)
+        if value is None:
+            value = self.parse(key)
+        self[key] = value
+        return value
+
+
+#: the position of each community class's set on a :class:`Route`
+_FLAVOURS = {StandardCommunity: 0, ExtendedCommunity: 1, LargeCommunity: 2}
+
+
+def _format_v6(packed: int) -> str:
+    """The prefix string of ``address << 8 | prefixlen``."""
+    return f"{IPv6Address(packed >> 8)}/{packed & 0xFF}"
+
+
+class RouteDecodeMemo:
+    """Parse results shared by the routes of a series of payloads.
+
+    The routes of one payload, and consecutive payloads of one series
+    (a store's snapshots of one IXP and family), repeat most of their
+    prefixes, AS paths and community lists. The memo maps each
+    distinct raw value to its parsed form: a prefix string to its
+    canonical form, an AS-path string to one :class:`AsPath`, a
+    community string to one community, a community list to one shared
+    ``frozenset``; and, for the columnar codec, a tuple of community
+    strings to the route's three flavour sets and a packed IPv6
+    address and length to its prefix string.
+
+    One memo decodes one payload. :meth:`successor` makes the memo for
+    the next payload of the same series: it falls back to this one and
+    keeps what it finds there, and this one forgets its own fallback.
+    So at most the distinct values of the last two payloads are
+    retained, however many are read. A :class:`DatasetStore` keeps
+    one memo per (IXP, family); a caller without a series creates one
+    per payload and drops it with the payload.
+
+    Only successful parses are stored and only ``str`` values are keys
+    of the JSON tables: malformed input reaches the parser every time
+    and raises what it always raises. Every set is built in the order
+    of its key, so a recalled ``frozenset`` iterates exactly as a
+    freshly built one. Two threads decoding with one memo at once may
+    lose a generation: that costs parses, never a wrong value.
+    """
+
+    __slots__ = ("prefixes", "paths", "communities", "sets", "rows",
+                 "v6_prefixes")
+
+    def __init__(self, previous: Optional["RouteDecodeMemo"] = None,
+                 ) -> None:
+        def older(name: str) -> Mapping[Any, Any]:
+            return _NO_OLDER if previous is None \
+                else getattr(previous, name)
+
+        self.prefixes = _Generation(canonical, older("prefixes"))
+        self.paths = _Generation(AsPath.from_string, older("paths"))
+        self.communities = _Generation(parse_community,
+                                       older("communities"))
+        self.sets = _Generation(_set_parser(self.communities),
+                                older("sets"))
+        self.rows = _Generation(_row_parser(self.communities),
+                                older("rows"))
+        self.v6_prefixes = _Generation(_format_v6, older("v6_prefixes"))
+
+    def successor(self) -> "RouteDecodeMemo":
+        """The memo for the next payload of this one's series.
+
+        It falls back to this memo, which from now on has no fallback
+        of its own: the generation before this one is released.
+        """
+        for name in self.__slots__:
+            getattr(self, name).older = _NO_OLDER
+        return RouteDecodeMemo(self)
 
     def prefix(self, raw: Any) -> str:
         if type(raw) is not str:
             return canonical(raw)
-        value = self.prefixes.get(raw)
-        if value is None:
-            value = self.prefixes[raw] = canonical(raw)
-        return value
+        return self.prefixes[raw]
 
     def as_path(self, raw: Any) -> AsPath:
         if type(raw) is not str:
             return AsPath.from_string(raw)
-        value = self.paths.get(raw)
-        if value is None:
-            value = self.paths[raw] = AsPath.from_string(raw)
-        return value
-
-    def community(self, raw: Any) -> Community:
-        if type(raw) is not str:
-            return parse_community(raw)
-        value = self.communities.get(raw)
-        if value is None:
-            value = self.communities[raw] = parse_community(raw)
-        return value
+        return self.paths[raw]
 
     def community_set(self, raw: Any) -> FrozenSet[Community]:
         try:
-            key = tuple(raw)
-            value = self.sets.get(key)
+            return self.sets[tuple(raw)]
         except TypeError:
             # not iterable, or an unhashable member: parse as the
             # constructor would, which raises the same error it always did
             return frozenset(parse_community(c) for c in raw)
-        if value is None:
-            known, community = self.communities.get, self.community
-            value = frozenset([known(c) or community(c) for c in key])
-            self.sets[key] = value
-        return value
+
+
+def _set_parser(communities: Dict[str, Community],
+                ) -> Callable[[Tuple[Any, ...]], FrozenSet[Community]]:
+    """Builds the set of a community list; the members come from
+    *communities* (strings only), in the list's order."""
+    def parse(key: Tuple[Any, ...]) -> FrozenSet[Community]:
+        return frozenset([communities[c] if type(c) is str
+                          else parse_community(c) for c in key])
+    return parse
+
+
+def _row_parser(communities: Dict[str, Community],
+                ) -> Callable[[Tuple[str, ...]], Tuple[FrozenSet, ...]]:
+    """Splits a tuple of community strings into a route's standard,
+    extended and large sets, each in the tuple's order."""
+    def parse(key: Tuple[str, ...]) -> Tuple[FrozenSet, ...]:
+        members = list(map(communities.__getitem__, key))
+        kinds = set(map(type, members))
+        sets: List[FrozenSet[Community]] = [frozenset()] * 3
+        if len(kinds) == 1:
+            sets[_FLAVOURS[kinds.pop()]] = frozenset(members)
+        else:
+            for kind in kinds:
+                sets[_FLAVOURS[kind]] = frozenset(
+                    [c for c in members if type(c) is kind])
+        return tuple(sets)
+    return parse

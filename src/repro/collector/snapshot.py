@@ -116,8 +116,15 @@ class Snapshot:
         }
 
     @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "Snapshot":
-        memo = RouteDecodeMemo()
+    def from_dict(cls, payload: Dict[str, Any],
+                  memo: Optional[RouteDecodeMemo] = None) -> "Snapshot":
+        """Inverse of :meth:`to_dict`. Every route goes through
+        :meth:`Route.from_dict` with one *memo*: pass the series' memo
+        (see :meth:`RouteDecodeMemo.successor`) to reuse the values an
+        earlier payload parsed; without one the payload gets its own.
+        """
+        if memo is None:
+            memo = RouteDecodeMemo()
         return cls(
             ixp=str(payload["ixp"]),
             family=int(payload["family"]),

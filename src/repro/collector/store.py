@@ -64,6 +64,7 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
 
 from .. import obs
+from ..bgp.route import RouteDecodeMemo
 from ..io.faultfs import StorageUnavailable, active_fs, with_fs_retries
 from ..ixp.dictionary import CommunityDictionary
 from . import journal
@@ -167,6 +168,9 @@ class DatasetStore:
         self._manifest_lock = threading.RLock()
         #: checkpoint journal dir -> ``(seq, prev)`` of its next segment
         self._journal_tails: Dict[Path, Tuple[int, Optional[str]]] = {}
+        #: (ixp, family) -> the decode memo of its last snapshot read
+        #: (see :meth:`read_snapshot`)
+        self._decode_memos: Dict[Tuple[str, int], RouteDecodeMemo] = {}
 
     # -- naming and validation -------------------------------------------
 
@@ -460,6 +464,13 @@ class DatasetStore:
         and ``(None, sha256)`` comes back. Verification runs in full
         either way, so a known digest only ever answers for bytes that
         hash to it.
+
+        The decode goes through the successor of the memo of the last
+        snapshot this store decoded for the same (IXP, family), so
+        values that day held are recalled rather than parsed again.
+        The memo retains the values of the last two payloads at most
+        (see :class:`~repro.bgp.route.RouteDecodeMemo`), and is kept
+        only when the decode succeeds.
         """
         path = self._snapshot_path(ixp, family, date)
         if heal:
@@ -471,8 +482,12 @@ class DatasetStore:
         if digest in known:
             return None, digest
         from ..io.columnar import decode_snapshot_payload
+        series = (ixp, family)
+        previous = self._decode_memos.get(series)
+        memo = RouteDecodeMemo() if previous is None \
+            else previous.successor()
         try:
-            return decode_snapshot_payload(payload), digest
+            snapshot = decode_snapshot_payload(payload, memo)
         except (KeyError, TypeError, ValueError) as error:
             drift = SchemaDriftError(
                 f"snapshot payload does not deserialise: {error}", path)
@@ -480,6 +495,8 @@ class DatasetStore:
                 drift.record = self.quarantine(path, drift) \
                     if path.exists() else None
             raise drift from error
+        self._decode_memos[series] = memo
+        return snapshot, digest
 
     def load_snapshot(self, ixp: str, family: int, date: str) -> Snapshot:
         """Load + verify one snapshot.

@@ -47,7 +47,11 @@ Decoding is the performance story: community sets, AS paths, and
 prefix strings are materialised once per distinct value and shared
 across routes, and ``Route`` construction bypasses ``__post_init__``
 (the pool entries are canonical by construction), making loads several
-times faster than parsing the equivalent JSON route list.
+times faster than parsing the equivalent JSON route list. The values
+come from a :class:`~repro.bgp.route.RouteDecodeMemo`, the one the JSON
+codec uses too: a store passes the memo of the snapshot's series, so
+a set, path or IPv6 prefix that the previous day of the series already
+held is recalled rather than built again.
 """
 
 from __future__ import annotations
@@ -61,12 +65,7 @@ from itertools import accumulate
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..bgp.aspath import AsPath
-from ..bgp.communities import (
-    ExtendedCommunity,
-    LargeCommunity,
-    parse_community,
-)
-from ..bgp.route import Route
+from ..bgp.route import Route, RouteDecodeMemo
 from ..collector.snapshot import Snapshot
 from ..ixp.member import Member
 
@@ -371,7 +370,8 @@ def _format_v4(address: int, prefixlen: int) -> str:
             f"{(address >> 8) & 255}.{address & 255}/{prefixlen}")
 
 
-def _decode_prefix_pool(cursor: _Cursor) -> List[str]:
+def _decode_prefix_pool(cursor: _Cursor,
+                        v6_prefixes: Dict[int, str]) -> List[str]:
     v4_count = cursor.uvarint()
     v6_count = cursor.uvarint()
     v4_addresses = []
@@ -388,12 +388,12 @@ def _decode_prefix_pool(cursor: _Cursor) -> List[str]:
     pool = [_format_v4(address, prefixlens[i])
             for i, address in enumerate(v4_addresses)]
     for i, address in enumerate(v6_addresses):
-        pool.append(str(ipaddress.IPv6Address(address))
-                    + f"/{prefixlens[v4_count + i]}")
+        pool.append(v6_prefixes[(address << 8) | prefixlens[v4_count + i]])
     return pool
 
 
-def _decode_body(raw: bytes, expected_routes: int) -> List[Route]:
+def _decode_body(raw: bytes, expected_routes: int,
+                 memo: RouteDecodeMemo) -> List[Route]:
     cursor = _Cursor(raw)
     version = cursor.uvarint()
     if version != COLUMNAR_VERSION:
@@ -404,7 +404,7 @@ def _decode_body(raw: bytes, expected_routes: int) -> List[Route]:
         raise ColumnarFormatError(
             f"body carries {total} routes, payload says {expected_routes}")
     run_count = cursor.uvarint()
-    pool = _decode_prefix_pool(cursor)
+    pool = _decode_prefix_pool(cursor, memo.v6_prefixes)
 
     tail_count = cursor.uvarint()
     tails = [cursor.text() for _ in range(tail_count)]
@@ -419,6 +419,7 @@ def _decode_body(raw: bytes, expected_routes: int) -> List[Route]:
         tail_overrides[position] = cursor.uvarint()
 
     new_route = object.__new__
+    communities, rows, paths = memo.communities, memo.rows, memo.paths
     path_cache: Dict[int, Dict[int, AsPath]] = {}  # peer -> tail id -> path
     routes: List[Optional[Route]] = []
     for _ in range(run_count):
@@ -426,19 +427,14 @@ def _decode_body(raw: bytes, expected_routes: int) -> List[Route]:
         next_hop = cursor.text()
         count = cursor.uvarint()
         universe_size = cursor.uvarint()
-        parsed = [parse_community(cursor.text())
-                  for _ in range(universe_size)]
-        flavours = [2 if isinstance(c, LargeCommunity)
-                    else 1 if isinstance(c, ExtendedCommunity) else 0
-                    for c in parsed]
-        # per flavour, the community of each id, indexed by id + 1 (the
-        # running sum of gap + 1 below); None, which the set build
-        # filters out, where the id is another flavour
-        lookups: List[List[Any]] = [[None] * (universe_size + 1)
-                                    for _ in range(3)]
-        for community_id, flavour in enumerate(flavours):
-            lookups[flavour][community_id + 1] = parsed[community_id]
-        present = sorted(set(flavours))
+        # each community string, indexed by id + 1 (the running sum of
+        # gap + 1 below); every one is parsed, or recalled, here, so a
+        # malformed string fails the body even if no set uses it
+        names: List[Any] = [None]
+        for _ in range(universe_size):
+            name = cursor.text()
+            communities[name]
+            names.append(name)
         table_size = cursor.uvarint()
         set_table: List[Tuple[frozenset, ...]] = []
         for _ in range(table_size):
@@ -447,11 +443,9 @@ def _decode_body(raw: bytes, expected_routes: int) -> List[Route]:
             slots = list(accumulate(map(_SUCCESSOR, gaps)))
             if slots and slots[-1] > universe_size:
                 raise ColumnarFormatError("set member out of range")
-            sets = [frozenset()] * 3
-            for flavour in present:
-                sets[flavour] = frozenset(
-                    filter(None, map(lookups[flavour].__getitem__, slots)))
-            set_table.append(tuple(sets))
+            # keyed by the member strings, whose hashes are cached:
+            # a recalled row costs no community __hash__
+            set_table.append(rows[tuple(map(names.__getitem__, slots))])
         set_ids = _varints(cursor, count)
         if count and max(set_ids) >= table_size:
             raise ColumnarFormatError("set reference out of range")
@@ -476,11 +470,11 @@ def _decode_body(raw: bytes, expected_routes: int) -> List[Route]:
                     raise ColumnarFormatError("tail reference out of range")
                 tail = tails[tail_id]
                 if tail.startswith(_FULL_PATH_MARK):
-                    path = AsPath.from_string(tail[1:])
+                    path = paths[tail[1:]]
                 elif tail:
-                    path = AsPath.from_string(f"{peer_asn} {tail}")
+                    path = paths[f"{peer_asn} {tail}"]
                 else:
-                    path = AsPath.from_string(str(peer_asn))
+                    path = paths[str(peer_asn)]
                 peer_paths[tail_id] = path
             route = new_route(Route)
             route.__dict__.update(
@@ -508,8 +502,11 @@ def _decode_body(raw: bytes, expected_routes: int) -> List[Route]:
     return routes
 
 
-def decode_columnar_routes(routes_section: Dict[str, Any]) -> List[Route]:
-    """Decode the ``routes`` section of a columnar payload."""
+def decode_columnar_routes(routes_section: Dict[str, Any],
+                           memo: Optional[RouteDecodeMemo] = None,
+                           ) -> List[Route]:
+    """Decode the ``routes`` section of a columnar payload, through
+    *memo* when given (else one of its own)."""
     try:
         expected = int(routes_section["n"])
         blob = base64.b64decode(routes_section["blob"].encode("ascii"),
@@ -519,7 +516,8 @@ def decode_columnar_routes(routes_section: Dict[str, Any]) -> List[Route]:
             lzma.LZMAError) as error:
         raise ColumnarFormatError(
             f"columnar routes section unreadable: {error}") from error
-    return _decode_body(raw, expected)
+    return _decode_body(raw, expected,
+                        RouteDecodeMemo() if memo is None else memo)
 
 
 def payload_codec(payload: Dict[str, Any]) -> str:
@@ -530,15 +528,23 @@ def payload_codec(payload: Dict[str, Any]) -> str:
     return codec
 
 
-def decode_snapshot_payload(payload: Dict[str, Any]) -> Snapshot:
+def decode_snapshot_payload(payload: Dict[str, Any],
+                            memo: Optional[RouteDecodeMemo] = None,
+                            ) -> Snapshot:
     """Deserialise a snapshot payload written with *either* codec.
 
     This is the single entry point the store's read path uses; the
     payload self-describes via its ``codec`` key (absent == JSON).
+    Both codecs decode through *memo*: the store passes the successor
+    of the memo its previous read of the same (IXP, family) used, so
+    values that day held are recalled, not parsed again (see
+    :class:`~repro.bgp.route.RouteDecodeMemo`). Without one the
+    payload gets a memo of its own. The snapshot is the same either
+    way.
     """
     if payload_codec(payload) == JSON_CODEC:
-        return Snapshot.from_dict(payload)
-    routes = decode_columnar_routes(payload["routes"])
+        return Snapshot.from_dict(payload, memo)
+    routes = decode_columnar_routes(payload["routes"], memo)
     return Snapshot(
         ixp=str(payload["ixp"]),
         family=int(payload["family"]),
