@@ -9,10 +9,12 @@ one implementation:
   turns raw tracebacks (``EOFError`` deep inside gzip, ``KeyError``
   inside a deserialiser) into typed, classified damage;
 * a **payload envelope**: every artefact is stored as
-  ``{"artefact": "repro.artefact", "version": 1, "kind": ...,
-  "sha256": <digest of the canonical payload JSON>, "payload": ...}``
+  ``{"artefact":"repro.artefact","version":2,"kind":...,
+  "sha256":<digest of the payload bytes as written>,"payload":...}``
   so a file can vouch for itself, and the same digest is mirrored in
-  the per-IXP ``MANIFEST.json`` so either side can validate the other;
+  the per-IXP ``MANIFEST.json`` so either side can validate the other.
+  Version-1 files (digest of the canonical payload JSON) still read;
+  a version-2 file re-serialised by hand no longer verifies;
 * an **atomic write** helper: unique temp name in the same directory,
   ``fsync`` of the file, ``rename``, ``fsync`` of the directory — a
   reader can never observe a partially written artefact, and a crash
@@ -39,16 +41,15 @@ import threading
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
-                    Tuple)
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..io.faultfs import active_fs, with_fs_retries
 from .snapshot import REQUIRED_PAYLOAD_KEYS as _SNAPSHOT_KEYS
 
 #: magic marker distinguishing enveloped artefacts from legacy payloads.
 ARTEFACT_MAGIC = "repro.artefact"
-#: highest envelope version this code understands.
-ENVELOPE_VERSION = 1
+#: the envelope version every writer produces; readers also accept 1.
+ENVELOPE_VERSION = 2
 
 #: damage classes — the vocabulary shared by errors, quarantine
 #: records, fsck findings, and metrics labels.
@@ -133,101 +134,82 @@ class SchemaDriftError(IntegrityError):
 
 # -- digests and envelopes ----------------------------------------------
 
-def canonical_bytes(payload: Any) -> bytes:
-    """The canonical JSON serialisation every digest is computed over."""
-    return json.dumps(payload, separators=(",", ":"),
-                      sort_keys=True).encode("utf-8")
-
-
 def payload_digest(payload: Any) -> str:
-    return hashlib.sha256(canonical_bytes(payload)).hexdigest()
+    """A version-1 envelope's digest: the sha256 of the canonical
+    payload JSON (sorted keys, compact separators)."""
+    return hashlib.sha256(json.dumps(
+        payload, separators=(",", ":"),
+        sort_keys=True).encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
 class EncodedJSON:
-    """One JSON value serialised both ways an artefact needs it: with
-    sorted keys (``canonical_parts``, what the digest covers) and in
-    insertion order (``ordered_parts``, what the file stores).
+    """One JSON value serialised once, in insertion order, as chunks.
 
     Encoding is context-free (compact separators, ASCII escapes), so a
     value encoded once can be spliced into any number of enclosing
     objects and the result is byte-identical to encoding the whole
     document in one ``json.dumps`` call. Campaign checkpoints use this
-    to encode each peer once instead of at every flush. Both forms are
-    kept as chunks: splicing copies no bytes, and an artefact is joined
-    once, when it is written.
+    to encode each peer once instead of at every flush. Splicing
+    copies no bytes; an artefact is joined once, when it is written.
     """
 
-    canonical_parts: Tuple[bytes, ...]
-    ordered_parts: Tuple[bytes, ...]
+    parts: Tuple[bytes, ...]
 
     @classmethod
     def of(cls, value: Any) -> "EncodedJSON":
         """Encode *value* (returned unchanged if already encoded)."""
         if isinstance(value, EncodedJSON):
             return value
-        return cls(
-            (canonical_bytes(value),),
-            (json.dumps(value, separators=(",", ":")).encode("utf-8"),))
+        return cls((json.dumps(value, separators=(",", ":"))
+                    .encode("utf-8"),))
 
     @classmethod
     def of_object(cls, members: Mapping[str, Any]) -> "EncodedJSON":
-        """A JSON object whose values may themselves be
-        :class:`EncodedJSON`. The ordered form keeps the mapping's
-        order; the canonical form sorts by key exactly as
-        ``sort_keys=True`` does."""
-        items = []
+        """A JSON object, in the mapping's order, whose values may
+        themselves be :class:`EncodedJSON`."""
+        parts = [b"{"]
         for key, value in members.items():
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be str, "
                                 f"got {type(key).__name__}")
-            items.append((key, json.dumps(key).encode("utf-8"),
-                          cls.of(value)))
-        ordered = _object_parts((encoded_key, value.ordered_parts)
-                                for _key, encoded_key, value in items)
-        items.sort(key=lambda item: item[0])
-        canonical = _object_parts((encoded_key, value.canonical_parts)
-                                  for _key, encoded_key, value in items)
-        return cls(canonical, ordered)
+            parts += (json.dumps(key).encode("utf-8"), b":",
+                      *cls.of(value).parts, b",")
+        if len(parts) > 1:
+            parts.pop()  # the last member's comma
+        parts.append(b"}")
+        return cls(tuple(parts))
 
 
-def _object_parts(members: Iterable[Tuple[bytes, Tuple[bytes, ...]]],
-                  ) -> Tuple[bytes, ...]:
-    """The chunks of ``{key:value,...}`` from encoded members."""
-    parts = [b"{"]
-    for encoded_key, value_parts in members:
-        parts += (encoded_key, b":", *value_parts, b",")
-    if len(parts) > 1:
-        parts.pop()  # the last member's comma
-    parts.append(b"}")
-    return tuple(parts)
+def _envelope_head(version: Any, kind: Any, sha256: Any) -> bytes:
+    """Every envelope byte before the payload: the compact head object
+    reopened for its last member, ``"payload"``."""
+    head = json.dumps({
+        "artefact": ARTEFACT_MAGIC,
+        "version": version,
+        "kind": kind,
+        "sha256": sha256,
+    }, separators=(",", ":")).encode("utf-8")
+    return head[:-1] + b',"payload":'
 
 
 def encode_artefact(payload: Any, kind: str, *, gz: bool,
                     compresslevel: int = 9) -> Tuple[bytes, str]:
-    """Wrap *payload* in the integrity envelope and serialise it.
+    """Wrap *payload* in a version-2 integrity envelope and serialise it.
 
     *payload* is a JSON-ready value or an :class:`EncodedJSON` built
     from one; both give the same bytes. Returns ``(file_bytes,
-    sha256)`` — the digest is over the canonical payload JSON, so it
-    is independent of compression settings and is the value mirrored
-    into the manifest.
+    sha256)``: the digest covers the payload bytes exactly as they sit
+    in the (uncompressed) file, so it does not depend on compression
+    settings, and it is the value mirrored into the manifest.
     """
-    encoded = EncodedJSON.of(payload)
+    parts = EncodedJSON.of(payload).parts
     sha256 = hashlib.sha256()
-    for part in encoded.canonical_parts:
+    for part in parts:
         sha256.update(part)
     digest = sha256.hexdigest()
-    head = json.dumps({
-        "artefact": ARTEFACT_MAGIC,
-        "version": ENVELOPE_VERSION,
-        "kind": kind,
-        "sha256": digest,
-    }, separators=(",", ":")).encode("utf-8")
-    # the payload is the envelope's last member: reopen the encoded
-    # head object and append it.
-    body = b"".join((head[:-1], b',"payload":', *encoded.ordered_parts,
-                     b"}"))
+    body = b"".join((_envelope_head(ENVELOPE_VERSION, kind, digest),
+                     *parts, b"}"))
     if gz:
         # mtime=0 keeps identical payloads byte-identical on disk.
         body = gzip.compress(body, compresslevel=compresslevel, mtime=0)
@@ -242,7 +224,9 @@ def decode_artefact(data: bytes, *, kind: str, gz: bool,
     Returns ``(payload, sha256, self_verified)`` where
     ``self_verified`` is True for enveloped artefacts whose embedded
     digest matched (legacy, pre-envelope files parse with
-    ``self_verified=False`` and a freshly computed digest).
+    ``self_verified=False`` and a freshly computed digest). A
+    version-2 digest is checked against the payload bytes as written,
+    version-1 and legacy ones against the canonical re-encoding.
 
     Raises the :class:`IntegrityError` taxonomy on any damage.
     """
@@ -280,7 +264,7 @@ def decode_artefact(data: bytes, *, kind: str, gz: bool,
 
     if document.get("artefact") == ARTEFACT_MAGIC:
         version = document.get("version")
-        if not isinstance(version, int) or version > ENVELOPE_VERSION:
+        if not isinstance(version, int) or version not in (1, ENVELOPE_VERSION):
             raise SchemaDriftError(
                 f"unsupported envelope version {version!r}", path)
         if document.get("kind") != kind:
@@ -291,15 +275,26 @@ def decode_artefact(data: bytes, *, kind: str, gz: bool,
         if not isinstance(payload, dict):
             raise SchemaDriftError("envelope payload is not an object",
                                    path)
-        digest = payload_digest(payload)
         declared = document.get("sha256")
+        if version == ENVELOPE_VERSION:
+            # the head its writer produced must open the body byte for
+            # byte; the digest covers every byte between it and "}".
+            head = _envelope_head(version, kind, declared)
+            if not body.startswith(head) or not body.endswith(b"}"):
+                raise ChecksumMismatchError(
+                    "envelope head is not as written (re-serialised "
+                    "or damaged bytes)", path)
+            digest = hashlib.sha256(
+                memoryview(body)[len(head):-1]).hexdigest()
+        else:
+            digest = payload_digest(payload)
         if declared != digest:
             raise ChecksumMismatchError(
                 f"embedded sha256 {str(declared)[:12]}… does not match "
                 f"payload digest {digest[:12]}…", path)
         self_verified = True
     else:
-        payload, digest, self_verified = document, None, False
+        payload, self_verified = document, False
         digest = payload_digest(payload)
 
     missing = [key for key in REQUIRED_PAYLOAD_KEYS.get(kind, ())

@@ -7,8 +7,9 @@ appends one segment holding only the peers (and failures) gained since
 the previous flush, so its cost is O(new peers), not O(peers so far).
 
 Every segment payload carries its position ``seq`` and ``prev``, the
-payload digest of segment ``seq - 1`` (null for the genesis segment 0),
-next to the header fields (:data:`HEADER_KEYS`) that each segment
+payload digest of segment ``seq - 1`` as its envelope declares and
+verifies it, whatever its envelope version (null for the genesis
+segment 0), next to the header fields (:data:`HEADER_KEYS`) that each segment
 repeats. The envelope digest vouches for a segment's bytes and ``prev``
 chains it to its predecessor, so segments need no manifest entries.
 

@@ -4,29 +4,29 @@ Every manifest scope — one per IXP directory, plus the ``reports/``
 directory — carries a ``MANIFEST.json`` mapping scope-relative paths
 to integrity metadata::
 
-    {
-      "artefact": "repro.artefact", "version": 1, "kind": "manifest",
-      "sha256": "<digest of the entries payload>",
-      "payload": {
-        "version": 1,
-        "entries": {
-          "v4/2021-07-19.json.gz": {
-            "sha256": "…", "size": 1234, "kind": "snapshot",
-            "updated": "2021-07-19T02:00:00+00:00"
-          },
-          "dictionary.json": {…}
-        }
-      }
-    }
+    {"artefact":"repro.artefact","version":2,"kind":"manifest",
+     "sha256":"<digest of the payload bytes>","payload":{
+       "version": 1,
+       "entries": {
+         "v4/2021-07-19.json.gz": {
+           "sha256": "…", "size": 1234, "kind": "snapshot",
+           "updated": "2021-07-19T02:00:00+00:00"
+         },
+         "dictionary.json": {…}
+       }
+     }}
 
-The per-entry ``sha256`` is the digest of the artefact's canonical
-payload JSON — the same value embedded in the artefact's own envelope,
-so either side can validate the other: a stale manifest is detectable
+(indented here; the file is compact). The per-entry ``sha256`` is the
+digest the artefact's own envelope declares — over its payload bytes
+as written (version 2) or its canonical payload JSON (version 1) — so
+either side can validate the other: a stale manifest is detectable
 against a self-consistent file, and a corrupted file is detectable
 against the manifest even if its embedded digest was corrupted with it.
 
 The manifest file itself is just another enveloped artefact: written
-atomically, self-checksummed, and verified on load.
+atomically, self-checksummed (not gzipped, so its envelope digest is
+the only check on its bytes), and verified on load. A version-1
+manifest still loads, and is saved as version 2.
 """
 
 from __future__ import annotations

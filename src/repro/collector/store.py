@@ -399,13 +399,14 @@ class DatasetStore:
         hard-linked into place with create-exclusive semantics — if the
         date is already published *with different content*, nothing is
         written and ``None`` comes back, so a late writer can never
-        clobber a committed shard. When the published content is
-        byte-equivalent to ours (same payload digest) the publish is
-        treated as an idempotent success: this is how an ambiguous
-        ``link()`` — the NFS retransmit that performed the operation
-        but reported an error — is resolved, and it also makes the
-        manifest entry converge when the ambiguous attempt died before
-        recording it. The manifest entry is recorded under the
+        clobber a committed shard. When the published payload equals
+        ours (same digest, or the same value under another envelope
+        version) the publish is treated as an idempotent success: this
+        is how an ambiguous ``link()`` — the NFS retransmit that
+        performed the operation but reported an error — is resolved,
+        and it also makes the manifest entry converge when the
+        ambiguous attempt died before recording it. The entry records
+        the digest and size of the file actually published, under the
         cross-process guard, exactly like any other write.
 
         Raises :class:`IntegrityError` if *source* itself is damaged —
@@ -414,26 +415,28 @@ class DatasetStore:
         data = with_fs_retries(
             lambda: active_fs().read_bytes(Path(source)),
             label="staging:read")
-        _payload, digest, _self_verified = decode_artefact(
+        payload, digest, _self_verified = decode_artefact(
             data, kind="snapshot", gz=True, path=Path(source))
         path = self._snapshot_path(ixp, family, date)
         fsyncs = atomic_publish(path, data, kind="snapshot",
                                 crash=self._crash)
         if fsyncs is None:
             # Someone already published. Us (ambiguous link) or a
-            # racing winner with identical bytes → idempotent success;
-            # different content → genuine refusal.
+            # racing winner with the same payload → idempotent
+            # success; different content → genuine refusal. Digests
+            # of one payload differ across envelope versions, so a
+            # digest mismatch falls back to comparing the values.
             try:
-                published = with_fs_retries(
+                data = with_fs_retries(
                     lambda: active_fs().read_bytes(path),
                     label="publish:verify")
-                _p, published_digest, _v = decode_artefact(
-                    published, kind="snapshot", gz=True, path=path)
+                published, published_digest, _v = decode_artefact(
+                    data, kind="snapshot", gz=True, path=path)
             except (OSError, StorageUnavailable, IntegrityError):
                 return None
-            if published_digest != digest:
+            if published_digest != digest and published != payload:
                 return None
-            fsyncs = 0
+            digest, fsyncs = published_digest, 0
         rel = path.relative_to(self._scope_dir(path)).as_posix()
         with self._manifest_guard(self._scope_dir(path)):
             manifest = Manifest.load(self._scope_dir(path))

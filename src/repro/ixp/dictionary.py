@@ -333,9 +333,9 @@ class CommunityDictionary:
 
     def digest(self) -> str:
         """SHA-256 over the canonical :meth:`to_dict` JSON (cached;
-        invalidated by mutation). Matches the integrity-envelope digest
-        the store records for this dictionary's ``dictionary.json``, so
-        the aggregate cache can key on dictionary content."""
+        invalidated by mutation): a content address that does not
+        depend on how (or whether) the dictionary was stored, so the
+        aggregate cache can key on dictionary content."""
         if self._digest is None:
             blob = json.dumps(self.to_dict(), separators=(",", ":"),
                               sort_keys=True).encode("utf-8")

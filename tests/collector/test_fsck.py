@@ -1,5 +1,6 @@
 """Tests for store auditing and repair (fsck)."""
 
+import contextlib
 import gzip
 import json
 
@@ -7,6 +8,8 @@ import pytest
 
 from repro.collector import DatasetStore, Snapshot, fsck_store
 from repro.collector.manifest import MANIFEST_NAME, Manifest
+
+from ..support import envelope_version, writing_v1
 
 DATES = ("2021-07-19", "2021-07-26", "2021-08-02", "2021-08-09")
 
@@ -128,6 +131,81 @@ class TestRepair:
         assert parsed["counts"] == {"malformed": 1}
         assert parsed["findings"][0]["path"] \
             == f"linx/v4/{DATES[0]}.json.gz"
+
+
+@pytest.fixture(params=[1, 2], ids=["v1", "v2"])
+def versioned_store(request, tmp_path):
+    """The ``store`` fixture's contents, every artefact (manifests
+    too) written with a version-1 or a version-2 envelope."""
+    with writing_v1() if request.param == 1 else contextlib.nullcontext():
+        store = DatasetStore(tmp_path / "dataset")
+        for date in DATES:
+            store.save_snapshot(Snapshot(ixp="linx", family=4,
+                                         captured_on=date))
+    manifest = store.root / "linx" / MANIFEST_NAME
+    assert envelope_version(manifest.read_bytes()) == request.param
+    return store, request.param
+
+
+class TestDamageAcrossEnvelopeVersions:
+    def test_each_damage_is_classified(self, versioned_store):
+        store, version = versioned_store
+        assert fsck_store(store).clean
+        base = store.root / "linx" / "v4"
+        flipped = base / f"{DATES[0]}.json.gz"
+        data = bytearray(flipped.read_bytes())
+        data[-5] ^= 0x01  # inside the gzip CRC32/ISIZE trailer
+        flipped.write_bytes(bytes(data))
+        truncated = base / f"{DATES[1]}.json.gz"
+        truncated.write_bytes(truncated.read_bytes()[:30])
+        (base / f"{DATES[2]}.json.gz").write_bytes(
+            gzip.compress(b'{"unexpected": true}'))
+        future = base / f"{DATES[3]}.json.gz"
+        future.write_bytes(gzip.compress(
+            gzip.decompress(future.read_bytes()).replace(
+                b'"version":%d,' % version, b'"version":3,', 1)))
+
+        counts = {cls: count for cls, count
+                  in fsck_store(store).counts.items() if count}
+        assert counts == {"checksum_mismatch": 1, "truncated": 1,
+                          "schema_drift": 2}
+
+    def test_reserialised_v2_payload_is_checksum_mismatch(
+            self, versioned_store):
+        """The same JSON value with default separators: not the bytes
+        a version-2 digest vouches for, still the value a version-1
+        digest does."""
+        store, version = versioned_store
+        path = store.root / "linx" / "v4" / f"{DATES[0]}.json.gz"
+        document = json.loads(gzip.decompress(path.read_bytes()))
+        path.write_bytes(gzip.compress(json.dumps(document).encode()))
+        counts = {cls: count for cls, count
+                  in fsck_store(store).counts.items() if count}
+        assert counts == ({"checksum_mismatch": 1} if version == 2
+                          else {})
+
+    def test_flipped_manifest_payload_byte_is_found_and_repaired(
+            self, versioned_store):
+        """``MANIFEST.json`` is not gzipped, so no CRC guards it: only
+        its envelope digest catches a flipped payload byte."""
+        store, _version = versioned_store
+        path = store.root / "linx" / MANIFEST_NAME
+        data = bytearray(path.read_bytes())
+        # one hex digit of the first entry's recorded digest
+        at = data.index(b'"sha256":"', data.index(b'"payload":')) + 10
+        data[at] = ord("0") if data[at] != ord("0") else ord("1")
+        path.write_bytes(bytes(data))
+
+        report = fsck_store(store)
+        manifest = [f.damage_class for f in report.findings
+                    if f.kind == "manifest"]
+        assert manifest == ["checksum_mismatch"]
+        # with the ledger unreadable, no file has an entry
+        assert report.counts["missing_manifest_entry"] == len(DATES)
+        assert not fsck_store(store, repair=True).clean
+        assert fsck_store(store).clean
+        assert envelope_version(path.read_bytes()) == 2
+        assert store.load_snapshot("linx", 4, DATES[0]) is not None
 
 
 class TestDispatchReclaim:

@@ -3,6 +3,7 @@ every damage class must surface as a typed IntegrityError, move the
 file to quarantine (never delete it), and leave the rest of the store
 loadable."""
 
+import contextlib
 import gzip
 import json
 import threading
@@ -19,6 +20,8 @@ from repro.collector import (
     TruncatedArtefactError,
 )
 from repro.ixp import dictionary_for, get_profile
+
+from ..support import envelope_version, writing_v1
 
 
 def snapshot(date, ixp="linx", family=4):
@@ -384,6 +387,67 @@ class TestIntegrityFailures:
         assert entry["sha256"] == digest
         report = fsck_store(DatasetStore(root))
         assert report.clean, report.findings
+
+
+@pytest.fixture(params=[1, 2], ids=["v1", "v2"])
+def versioned(request, store):
+    """A store holding one snapshot whose envelope (and manifest) is
+    version 1 or version 2."""
+    with writing_v1() if request.param == 1 else contextlib.nullcontext():
+        path = store.save_snapshot(snapshot("2021-07-19"))
+    assert envelope_version(path.read_bytes()) == request.param
+    return store, path, request.param
+
+
+class TestDamageAcrossEnvelopeVersions:
+    """The damage taxonomy does not depend on the envelope version."""
+
+    def _load_fails(self, store, error_type):
+        with pytest.raises(error_type) as excinfo:
+            store.load_snapshot("linx", 4, "2021-07-19")
+        assert excinfo.value.record is not None  # quarantined
+        return excinfo.value
+
+    def test_flipped_compressed_byte_is_checksum_mismatch(self,
+                                                          versioned):
+        store, path, _version = versioned
+        data = bytearray(path.read_bytes())
+        data[-5] ^= 0x01  # inside the gzip CRC32/ISIZE trailer
+        path.write_bytes(bytes(data))
+        self._load_fails(store, ChecksumMismatchError)
+
+    def test_truncated_gzip_is_truncated(self, versioned):
+        store, path, _version = versioned
+        path.write_bytes(path.read_bytes()[:40])
+        self._load_fails(store, TruncatedArtefactError)
+
+    def test_unexpected_object_is_schema_drift(self, versioned):
+        store, path, _version = versioned
+        path.write_bytes(gzip.compress(b'{"unexpected": true}'))
+        self._load_fails(store, SchemaDriftError)
+
+    def test_version_3_head_is_schema_drift(self, versioned):
+        store, path, version = versioned
+        body = gzip.decompress(path.read_bytes())
+        head = b'"version":%d,' % version
+        assert head in body
+        path.write_bytes(gzip.compress(
+            body.replace(head, b'"version":3,', 1)))
+        self._load_fails(store, SchemaDriftError)
+
+    def test_reserialised_payload(self, versioned):
+        """Re-serialising the same JSON value (here with default
+        separators) fails a version-2 envelope, whose digest covers the
+        bytes as written; a version-1 envelope, whose digest covers the
+        canonical re-encoding, still reads."""
+        store, path, version = versioned
+        document = json.loads(gzip.decompress(path.read_bytes()))
+        path.write_bytes(gzip.compress(json.dumps(document).encode()))
+        if version == 2:
+            self._load_fails(store, ChecksumMismatchError)
+        else:
+            loaded = store.load_snapshot("linx", 4, "2021-07-19")
+            assert loaded.to_dict() == snapshot("2021-07-19").to_dict()
 
 
 class TestNameValidation:

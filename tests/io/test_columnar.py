@@ -226,9 +226,9 @@ class TestStoreIntegration:
             assert not report.clean
         assert outcomes[JSON_CODEC] == outcomes[COLUMNAR_CODEC]
 
-    def test_mangled_body_quarantines_as_schema_drift(self, tmp_path):
-        """A self-consistent envelope holding an undecodable columnar
-        body is schema drift: quarantined on read, never trusted."""
+    def _mangled_load(self, tmp_path, sign):
+        """Save a columnar snapshot, replace its body with junk, let
+        *sign* re-sign the tampered envelope into file bytes, load."""
         import gzip
         import json
         root = tmp_path / "ds"
@@ -238,17 +238,38 @@ class TestStoreIntegration:
         envelope = json.loads(gzip.decompress(path.read_bytes()))
         envelope["payload"]["routes"]["blob"] = \
             base64.b64encode(b"junk").decode()
-        # recompute the digest so only the *body* is wrong
-        from repro.collector.integrity import payload_digest
-        envelope["sha256"] = payload_digest(envelope["payload"])
-        path.write_bytes(gzip.compress(
-            json.dumps(envelope).encode("utf-8")))
+        path.write_bytes(sign(envelope))
         store._forget_manifest_entry(path)
         with pytest.raises(IntegrityError) as excinfo:
             store.load_snapshot("linx", 4, DATE)
         assert excinfo.value.damage_class == "schema_drift"
         assert not path.exists()  # quarantined, not deleted
         assert store.quarantine_records()
+
+    def test_mangled_body_quarantines_as_schema_drift(self, tmp_path):
+        """A self-consistent envelope holding an undecodable columnar
+        body is schema drift: quarantined on read, never trusted."""
+        from repro.collector.integrity import encode_artefact
+        # written by the store's own encoder, so only the *body* is
+        # wrong
+        self._mangled_load(tmp_path, lambda envelope: encode_artefact(
+            envelope["payload"], "snapshot", gz=True)[0])
+
+    def test_mangled_body_under_v1_envelope_is_schema_drift(
+            self, tmp_path):
+        """The same, signed the version-1 way: the digest of the
+        canonical re-encoding, in a re-serialised file."""
+        import gzip
+        import json
+
+        from repro.collector.integrity import payload_digest
+
+        def sign_v1(envelope):
+            envelope.update(version=1,
+                            sha256=payload_digest(envelope["payload"]))
+            return gzip.compress(json.dumps(envelope).encode("utf-8"))
+
+        self._mangled_load(tmp_path, sign_v1)
 
 
 class TestConvert:

@@ -10,16 +10,25 @@ asserting on stale state.
 :class:`StubLookingGlass` serves canned Looking Glass answers,
 including ones the simulated LG never gives (wrong-shape JSON, broken
 HTTP framing).
+
+:func:`encode_v1_artefact` and :func:`writing_v1` write artefacts in
+the version-1 envelope format, for building stores as older writers
+left them.
 """
 
+import contextlib
+import gzip
 import json
 import threading
 import time
 import urllib.error
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Dict, Optional, TypeVar
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple, TypeVar
+from unittest import mock
 from urllib.parse import urlsplit
+
+from repro.collector import integrity
 
 T = TypeVar("T")
 
@@ -111,3 +120,40 @@ class StubLookingGlass:
         self.httpd.shutdown()
         self.httpd.server_close()
         self.thread.join()
+
+
+def encode_v1_artefact(payload: Any, kind: str, *, gz: bool,
+                       compresslevel: int = 9) -> Tuple[bytes, str]:
+    """The version-1 envelope writer: the same signature and file
+    layout as :func:`repro.collector.integrity.encode_artefact`, but
+    ``"version":1`` and a digest over the payload's canonical
+    (sorted-key) JSON rather than over its bytes as written."""
+    if isinstance(payload, integrity.EncodedJSON):
+        payload = json.loads(b"".join(payload.parts))
+    digest = integrity.payload_digest(payload)
+    body = json.dumps({
+        "artefact": integrity.ARTEFACT_MAGIC, "version": 1,
+        "kind": kind, "sha256": digest, "payload": payload,
+    }, separators=(",", ":")).encode("utf-8")
+    if gz:
+        body = gzip.compress(body, compresslevel=compresslevel, mtime=0)
+    return body, digest
+
+
+@contextlib.contextmanager
+def writing_v1() -> Iterator[None]:
+    """Every store, manifest and dispatch write in the block produces
+    version-1 envelopes."""
+    with contextlib.ExitStack() as stack:
+        for module in ("integrity", "store", "manifest", "dispatch"):
+            stack.enter_context(mock.patch(
+                f"repro.collector.{module}.encode_artefact",
+                encode_v1_artefact))
+        yield
+
+
+def envelope_version(data: bytes) -> int:
+    """The envelope version of an artefact's file bytes."""
+    if data[:2] == b"\x1f\x8b":
+        data = gzip.decompress(data)
+    return json.loads(data)["version"]
