@@ -19,6 +19,7 @@ class                     meaning
                           or manifest vs a legacy file)
 ``schema_drift``          parseable but the wrong shape/kind/version
 ``missing_manifest_entry``  a healthy file the manifest does not know
+                          (under a damaged manifest, only a legacy file)
 ``manifest_drift``        a self-consistent file whose manifest entry
                           is stale (e.g. crash between rename and
                           manifest publish)
@@ -291,15 +292,17 @@ def _fsck_scope(store: DatasetStore, scope: Path, report: FsckReport,
 
         entry = manifest.get(rel_scope)
         if entry is None:
-            finding = FsckFinding(
-                path=rel_store, kind=kind,
-                damage_class=DAMAGE_MISSING_ENTRY,
-                detail="verified file absent from the manifest")
             if repair:
                 manifest.record(rel_scope, digest, size, kind)
                 manifest_dirty = True
-                finding.action = ACTION_MANIFEST_UPDATED
-            report.findings.append(finding)
+            if self_verified and not manifest_healthy:
+                report.verified += 1  # the damaged manifest is the finding
+                continue
+            report.findings.append(FsckFinding(
+                path=rel_store, kind=kind,
+                damage_class=DAMAGE_MISSING_ENTRY,
+                detail="verified file absent from the manifest",
+                action=ACTION_MANIFEST_UPDATED if repair else None))
         elif entry.get("sha256") != digest:
             if self_verified:
                 # the file vouches for itself; the ledger is stale

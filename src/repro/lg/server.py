@@ -18,24 +18,33 @@ URL layout (one route server per (ixp, family) mount):
     /<ixp>/v<family>/api/v1/neighbors
     /<ixp>/v<family>/api/v1/neighbors/<asn>/routes?page=N[&filtered=1]
 
-plus the ops-plane ``/metrics`` endpoint (Prometheus text format,
-live when :func:`repro.obs.enable` has been called).
+plus the birdseye layout and the ops-plane ``/metrics`` endpoint
+(Prometheus text format, live when :func:`repro.obs.enable` has been
+called). A ``page`` or ``page_size`` that is not an integer answers 400.
+
+It serves from one :class:`repro.net.httpserver.LoopHTTPServer` event
+loop thread, like the query API: a scheduled slow response waits on a
+loop timer, so stalls on different connections overlap.
 """
 
 from __future__ import annotations
 
 import contextlib
 import datetime as _dt
+import functools
 import json
 import re
+import socket
 import threading
-import time
 import types
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Iterator, Optional, Tuple
+from typing import (Any, Callable, Dict, Generator, Iterator, List,
+                    Optional, Tuple)
 from urllib.parse import parse_qs, urlparse
 
 from .. import obs
+from ..bgp.route import Route
+from ..net import aio
+from ..net.httpserver import Answer, LoopHTTPServer, Request, Respond
 from ..net.ratelimit import TokenBucket
 from ..routeserver.server import RouteServer
 from . import api, dialects
@@ -80,6 +89,26 @@ _METRICS = obs.MetricSet(lambda reg: types.SimpleNamespace(
 ))
 
 
+def _routes_page(routes: List[Route], query: Dict[str, List[str]],
+                 render: Callable[..., Dict[str, Any]],
+                 ) -> Tuple[int, Dict[str, Any]]:
+    """One page of ``routes`` in prefix order, as both URL layouts
+    serve it: ``render(page_routes, page, page_size, total)``. ``page``
+    and ``page_size`` come from ``query``, clamped to the API's bounds;
+    either one not an integer answers 400."""
+    try:
+        page = max(1, int(query.get("page", ["1"])[0]))
+        page_size = min(api.MAX_PAGE_SIZE, max(1, int(query.get(
+            "page_size", [str(api.DEFAULT_PAGE_SIZE)])[0])))
+    except ValueError:
+        return 400, api.error_payload(
+            "page and page_size must be integers", 400)
+    routes.sort(key=lambda r: r.prefix)
+    start = (page - 1) * page_size
+    return 200, render(routes[start:start + page_size], page, page_size,
+                       len(routes))
+
+
 class _ConnectionLedger:
     """Per-mount accounting of open front-end connections.
 
@@ -93,12 +122,12 @@ class _ConnectionLedger:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._mount_of: Dict[int, str] = {}
+        self._mount_of: Dict[object, str] = {}
         self._count: Dict[str, int] = {}
         self.peak: Dict[str, int] = {}
         self.rejections: Dict[str, int] = {}
 
-    def admit(self, conn_id: int, mount: str,
+    def admit(self, conn_id: object, mount: str,
               cap: Optional[int]) -> bool:
         with self._lock:
             current = self._mount_of.get(conn_id)
@@ -116,11 +145,11 @@ class _ConnectionLedger:
             self.peak[mount] = max(self.peak.get(mount, 0), count + 1)
             return True
 
-    def drop(self, conn_id: int) -> None:
+    def drop(self, conn_id: object) -> None:
         with self._lock:
             self._release_locked(conn_id)
 
-    def _release_locked(self, conn_id: int) -> None:
+    def _release_locked(self, conn_id: object) -> None:
         mount = self._mount_of.pop(conn_id, None)
         if mount is not None:
             self._count[mount] = max(0, self._count.get(mount, 0) - 1)
@@ -135,15 +164,10 @@ class LookingGlassServer:
                  failure_rate: float = 0.0,
                  host: str = "127.0.0.1",
                  port: int = 0,
-                 dialect_overrides: Optional[Dict[str, str]] = None,
                  faults: Optional[FaultSchedule] = None,
                  connection_cap: Optional[int] = None,
                  ) -> None:
         self.route_servers = dict(route_servers)
-        #: IXP key → dialect; alice unless overridden (e.g. BCIX runs
-        #: birdseye). The server answers BOTH URL layouts regardless —
-        #: this records which frontend an IXP nominally runs.
-        self.dialects = dict(dialect_overrides or {})
         self.bucket = TokenBucket(rate_per_second, burst)
         self.injector = InstabilityInjector(failure_rate=failure_rate)
         #: deterministic fault plan (outage windows, slow responses,
@@ -155,12 +179,9 @@ class LookingGlassServer:
         #: client's connection cap actually bounds LG pressure.
         self.connection_cap = connection_cap
         self._ledger = _ConnectionLedger()
-        #: injectable so slow-response tests need not really stall.
-        self.slow_sleep = time.sleep
         self.host = host
         self.port = port
-        self._httpd: Optional[ThreadingHTTPServer] = None
-        self._thread: Optional[threading.Thread] = None
+        self._http: Optional[LoopHTTPServer] = None
 
     # -- request handling (framework-free) ------------------------------
 
@@ -168,7 +189,7 @@ class LookingGlassServer:
         """Resolve one GET request path to (status, JSON payload).
 
         Pure function of server state — exercised directly by unit tests
-        without sockets, and by the HTTP handler below.
+        without sockets, and by the HTTP exchange below.
         """
         if self.injector.should_fail():
             return 503, api.error_payload("looking glass unstable", 503)
@@ -204,18 +225,10 @@ class LookingGlassServer:
         if not server.has_peer(asn):
             return 404, api.error_payload(f"no neighbor AS{asn}", 404)
         filtered = query.get("filtered", ["0"])[0] in ("1", "true")
-        page = max(1, int(query.get("page", ["1"])[0]))
-        page_size = min(api.MAX_PAGE_SIZE,
-                        max(1, int(query.get("page_size",
-                                             [str(api.DEFAULT_PAGE_SIZE)])[0])))
         routes = (server.filtered_routes(asn) if filtered
                   else server.accepted_routes(asn))
-        routes.sort(key=lambda r: r.prefix)
-        total = len(routes)
-        start = (page - 1) * page_size
-        page_routes = routes[start:start + page_size]
-        return 200, api.routes_payload(
-            page_routes, page, page_size, total, filtered)
+        return _routes_page(routes, query, functools.partial(
+            api.routes_payload, filtered=filtered))
 
     def _handle_birdseye(self, match, query_text: str,
                          ) -> Tuple[int, Dict[str, object]]:
@@ -225,7 +238,6 @@ class LookingGlassServer:
         if server is None:
             return 404, api.error_payload(
                 f"no route server mounted at {key}", 404)
-        query = parse_qs(query_text)
         resource = match.group("resource")
         if resource == "/protocols":
             return 200, dialects.birdseye_protocols(
@@ -233,25 +245,18 @@ class LookingGlassServer:
         asn = int(match.group("asn"))
         if not server.has_peer(asn):
             return 404, api.error_payload(f"no protocol pb_{asn}", 404)
-        page = max(1, int(query.get("page", ["1"])[0]))
-        page_size = min(api.MAX_PAGE_SIZE,
-                        max(1, int(query.get("page_size",
-                                             [str(api.DEFAULT_PAGE_SIZE)]
-                                             )[0])))
-        routes = server.accepted_routes(asn)
-        routes.sort(key=lambda r: r.prefix)
-        total = len(routes)
-        start = (page - 1) * page_size
-        return 200, dialects.birdseye_routes(
-            routes[start:start + page_size], page, page_size, total)
+        return _routes_page(server.accepted_routes(asn),
+                            parse_qs(query_text), dialects.birdseye_routes)
 
     # -- wire-level faults ----------------------------------------------
 
-    def handle_bytes(self, path: str) -> Tuple[int, bytes, Dict[str, str]]:
-        """One GET rendered to wire bytes, with the fault schedule
-        applied: scheduled outages answer 503 without touching the
-        route servers, slow responses stall before answering, and
-        malformed responses truncate the JSON body mid-document.
+    def handle_bytes(self, path: str, fault: Optional[str] = None,
+                     ) -> Tuple[int, bytes, Dict[str, str]]:
+        """One GET rendered to wire bytes, with ``fault`` (drawn from
+        the :class:`FaultSchedule` by the caller) applied: a scheduled
+        outage answers 503 without touching the route servers, and a
+        malformed response truncates the JSON body mid-document. A slow
+        response has already waited on the loop before this is called.
 
         ``/metrics`` is the ops plane: it serves the process metrics in
         Prometheus text format and bypasses rate limiting and fault
@@ -262,15 +267,12 @@ class LookingGlassServer:
                 if obs.enabled() else "# observability disabled\n"
             return 200, text.encode("utf-8"), {
                 "Content-Type": obs.CONTENT_TYPE}
-        fault = self.faults.next_fault() if self.faults else None
         if fault == FAULT_OUTAGE:
             body = json.dumps(
                 api.error_payload("scheduled maintenance outage",
                                   503)).encode("utf-8")
             _METRICS().requests.labels("503").inc()
             return 503, body, {}
-        if fault == FAULT_SLOW:
-            self.slow_sleep(self.faults.slow_delay)
         status, payload = self.handle(path)
         body = json.dumps(payload).encode("utf-8")
         headers: Dict[str, str] = {}
@@ -293,91 +295,57 @@ class LookingGlassServer:
         """Highest concurrent connection count seen, per mount."""
         return dict(self._ledger.peak)
 
-    def _admit_connection(self, conn_id: int, path: str) -> bool:
-        """Apply the connection-cap fault mode; True = serve."""
-        if self.connection_cap is None:
-            return True
-        parsed = _MOUNT_PATTERN.match(urlparse(path).path)
-        if parsed is None:
-            return True  # /metrics and unroutable paths are uncapped
-        mount = f"{parsed.group('ixp')}/v{parsed.group('family')}"
-        if self._ledger.admit(conn_id, mount, self.connection_cap):
-            return True
-        _METRICS().cap_rejections.labels(mount).inc()
-        return False
+    @contextlib.contextmanager
+    def _connection(self) -> Iterator[Respond]:
+        """One connection's scope: closing it frees its cap slot."""
+        conn_id = object()
+        try:
+            yield functools.partial(self._exchange, conn_id)
+        finally:
+            self._ledger.drop(conn_id)
 
-    def _make_handler(self):
-        outer = self
-
-        class Handler(BaseHTTPRequestHandler):
-            # HTTP/1.1 so keep-alive is the default: the async
-            # client's connection pool depends on it (every response
-            # already carries Content-Length). urllib-based clients
-            # still send "Connection: close" and get single-use
-            # connections, exactly as before.
-            protocol_version = "HTTP/1.1"
-            #: an idle keep-alive connection is dropped after this —
-            #: lingering handler threads must not outlive tests.
-            timeout = 30.0
-            #: headers and body are separate small writes; with Nagle
-            #: on, the second waits out the client's delayed ACK
-            #: (~40ms) on every keep-alive response.
-            disable_nagle_algorithm = True
-
-            def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
-                if not outer._admit_connection(id(self.connection),
-                                               self.path):
-                    body = json.dumps(api.error_payload(
-                        "connection limit exceeded", 503)).encode("utf-8")
-                    _METRICS().requests.labels("503").inc()
-                    self._answer(503, body, {"Connection": "close"})
-                    self.close_connection = True
-                    return
-                status, body, headers = outer.handle_bytes(self.path)
-                self._answer(status, body, headers)
-
-            def _answer(self, status: int, body: bytes,
-                        headers: Dict[str, str]) -> None:
-                try:
-                    self.send_response(status)
-                    self.send_header(
-                        "Content-Type",
-                        headers.pop("Content-Type", "application/json"))
-                    self.send_header("Content-Length", str(len(body)))
-                    for name, value in headers.items():
-                        self.send_header(name, value)
-                    self.end_headers()
-                    self.wfile.write(body)
-                except (BrokenPipeError, ConnectionResetError):
-                    # the client gave up (e.g. timed out during a
-                    # scheduled slow response) — nothing to answer.
-                    pass
-
-            def finish(self) -> None:
-                outer._ledger.drop(id(self.connection))
-                super().finish()
-
-            def log_message(self, fmt: str, *args: object) -> None:
-                pass  # keep test output clean
-
-        return Handler
+    def _exchange(self, conn_id: object, request: Request,
+                  answer: Answer) -> Generator[Any, Any, None]:
+        """One request on the loop: the connection-cap fault mode, then
+        the scheduled fault (a slow one waits on a loop timer), then
+        :meth:`handle_bytes`. ``/metrics`` is neither capped nor
+        faulted; a path outside every mount is not capped."""
+        path = request.target
+        target = urlparse(path).path
+        mount = _MOUNT_PATTERN.match(target)
+        if self.connection_cap is not None and mount is not None:
+            name = f"{mount.group('ixp')}/v{mount.group('family')}"
+            if not self._ledger.admit(conn_id, name, self.connection_cap):
+                _METRICS().cap_rejections.labels(name).inc()
+                _METRICS().requests.labels("503").inc()
+                body = json.dumps(api.error_payload(
+                    "connection limit exceeded", 503)).encode("utf-8")
+                yield from answer(503, [("Content-Type", "application/json")],
+                                  body, close=True)
+                return
+        faults = self.faults
+        fault = None
+        if faults is not None and target != METRICS_PATH:
+            fault = faults.next_fault()
+            if fault == FAULT_SLOW:
+                yield from aio.sleep(faults.slow_delay)
+        status, body, headers = self.handle_bytes(path, fault)
+        headers.setdefault("Content-Type", "application/json")
+        yield from answer(status, headers.items(), body)
 
     def start(self) -> str:
-        """Start serving in a daemon thread; returns the base URL."""
-        if self._httpd is not None:
+        """Start serving on an event-loop thread; returns the base URL."""
+        if self._http is not None:
             raise RuntimeError("server already started")
         # A deep accept backlog: a fanned-out client opens its whole
-        # connection budget in one burst, and the socketserver default
-        # of 5 drops the overflow SYNs — each dropped one costs the
-        # kernel's ~1s retransmission before the connect completes.
-        server_cls = type("_LGServer", (ThreadingHTTPServer,),
-                          {"request_queue_size": 128})
-        self._httpd = server_cls(
-            (self.host, self.port), self._make_handler())
-        self.port = self._httpd.server_address[1]
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever, daemon=True)
-        self._thread.start()
+        # connection budget in one burst, and a backlog of 5 (the
+        # stdlib servers' default) drops the overflow SYNs — each
+        # dropped one costs the kernel's ~1s retransmission before the
+        # connect completes.
+        sock = socket.create_server((self.host, self.port), backlog=128)
+        self.port = sock.getsockname()[1]
+        self._http = LoopHTTPServer(sock, self._connection)
+        self._http.start()
         return self.base_url
 
     @property
@@ -385,11 +353,9 @@ class LookingGlassServer:
         return f"http://{self.host}:{self.port}"
 
     def stop(self) -> None:
-        if self._httpd is not None:
-            self._httpd.shutdown()
-            self._httpd.server_close()
-            self._httpd = None
-            self._thread = None
+        if self._http is not None:
+            self._http.stop()
+            self._http = None
 
     @contextlib.contextmanager
     def serve(self) -> Iterator[str]:

@@ -18,7 +18,7 @@ Both HTTP front doors of this repository — the simulated Looking Glass
   pool behind the LG client, and
 * the server side on that loop (:mod:`repro.net.httpserver`): an
   HTTP/1.1 server codec and a one-thread accept/read/write loop
-  behind the query API.
+  behind both the query API and the Looking Glass.
 
 Keeping them here (rather than inside ``repro.lg``) lets the query
 service depend on the rate limiter without importing the Looking

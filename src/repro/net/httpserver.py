@@ -28,18 +28,22 @@ Connection rules:
   each wakes on every connection, so an ``accept`` that raises
   ``BlockingIOError`` is the normal outcome for the losers.
 
-The application is called inline on the loop thread, so a slow
-answer delays every connection of this server. ``app(request)`` is a
-context manager yielding ``(status, headers, body)``; it stays entered
-until the response's last byte has been handed to the kernel (or the
-connection died), which is how a caller counts a slow reader as a
-request in flight. An exception raised by ``app`` before its answer
-is rendered prints a traceback to stderr and answers 500, and the
-connection closes.
+The application runs on the loop thread: its computation delays every
+connection of this server, its waits do not. The query API and the
+Looking Glass share one app contract. ``app()`` is a connection's scope,
+a context manager entered on accept and exited on close, that yields
+``respond``. ``respond(request, answer)`` is a loop coroutine per
+request: it may wait on the loop, then answers once with ``yield from
+answer(status, headers, body)`` (``close=True`` closes the connection
+after it). ``answer`` returns once the last byte has been handed to the
+kernel, which is how a caller counts a slow reader as a request in
+flight. A ``respond`` that raises, or returns, before it answers prints
+a traceback to stderr and answers 500, and the connection closes.
 
 :meth:`LoopHTTPServer.stop` drains: it stops accepting, closes idle
-connections, lets responses being written finish within
-:data:`DRAIN_TIMEOUT` seconds, then closes the listening socket.
+connections, lets requests being answered (waits included) finish
+within :data:`DRAIN_TIMEOUT` seconds, then closes the listening
+socket.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from __future__ import annotations
 import contextlib
 import email.utils
 import errno
+import functools
 import json
 import re
 import selectors
@@ -62,7 +67,8 @@ from typing import (Any, Callable, ContextManager, Dict, Generator,
 from . import aio
 
 __all__ = ["Request", "BadRequest", "parse_request", "render_response",
-           "http_date", "LoopHTTPServer", "MAX_HEAD_BYTES"]
+           "http_date", "LoopHTTPServer", "Answer", "Respond",
+           "MAX_HEAD_BYTES"]
 
 #: largest request head (request line + headers + blank line) accepted.
 MAX_HEAD_BYTES = aio.MAX_HEAD_BYTES
@@ -195,8 +201,8 @@ def render_response(status: int, headers: Iterable[Tuple[str, str]],
 
 
 def _report_error(request: Optional[Request]) -> None:
-    """Print the traceback of the exception being handled, as
-    ``socketserver`` does for a failing handler."""
+    """Print the traceback of the exception being handled, as the
+    stdlib servers do for a failing handler."""
     where = f" {request.method} {request.target!r}" \
         if request is not None else " a connection"
     print(f"repro.net.httpserver: error serving{where}",
@@ -212,18 +218,23 @@ def _error_response(status: int, message: str) -> bytes:
 
 # -- the serving loop --------------------------------------------------------
 
-#: what ``app(request)`` yields: ``(status, headers, body)``.
-Reply = Tuple[int, Iterable[Tuple[str, str]], bytes]
+#: ``answer(status, headers, body, close=False)``, a loop coroutine.
+Answer = Callable[..., Generator[Any, Any, None]]
+#: ``respond(request, answer)``, a loop coroutine.
+Respond = Callable[[Request, Answer], Generator[Any, Any, None]]
 
 
 class _Connection:
-    __slots__ = ("sock", "task", "writing")
+    __slots__ = ("sock", "task", "writing", "answered", "close")
 
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
         self.task: Optional[aio.Task] = None
-        #: True while a response is being written (drain waits for it).
+        #: True from a parsed request head until its response has been
+        #: written (drain waits for it).
         self.writing = False
+        self.answered = False
+        self.close = False  # after the current response
 
 
 class LoopHTTPServer:
@@ -231,7 +242,7 @@ class LoopHTTPServer:
     loop on one thread (see the module docstring for the rules)."""
 
     def __init__(self, sock: socket.socket,
-                 app: Callable[[Request], ContextManager[Reply]]) -> None:
+                 app: Callable[[], ContextManager[Respond]]) -> None:
         self.sock = sock
         self.app = app
         self.loop = aio.EventLoop()
@@ -280,8 +291,8 @@ class LoopHTTPServer:
             self._waker_w.close()
 
     def _drain(self) -> None:
-        """Stop accepting, close idle connections now, and let writers
-        finish within the bound."""
+        """Stop accepting, close idle connections now, and let requests
+        being answered finish within the bound."""
         if self._acceptor is not None:
             self._acceptor.cancel()
         for conn in list(self._connections.values()):
@@ -349,60 +360,69 @@ class LoopHTTPServer:
                 return
             drained += len(chunk)
 
+    def _answer(self, conn: _Connection, request: Request, status: int,
+                headers: Iterable[Tuple[str, str]], body: bytes,
+                close: bool = False) -> Generator[Any, Any, None]:
+        """``answer`` for one request (see the module docstring)."""
+        conn.close = close or not request.keep_alive or self._stopping
+        response = render_response(status, headers, body,
+                                   send_body=request.method != "HEAD",
+                                   close=conn.close)
+        conn.answered = True
+        yield from aio.send_all(conn.sock, response, IDLE_TIMEOUT)
+
     def _serve(self, conn: _Connection) -> Generator[Any, Any, None]:
         sock = conn.sock
         buffer = bytearray()
         try:
-            while True:
-                try:
-                    parsed = parse_request(buffer)
-                except BadRequest as bad:
-                    yield from self._refuse(sock, bad.status, str(bad))
-                    return
-                if parsed is None:
-                    chunk = yield from aio.recv_some(sock, IDLE_TIMEOUT)
-                    if not chunk:
-                        return  # EOF, possibly mid-head: nothing to answer
-                    buffer += chunk
-                    continue
-                request, consumed = parsed
-                del buffer[:consumed]
-                if request.method not in METHODS:
-                    yield from self._refuse(
-                        sock, 501, f"unsupported method {request.method}")
-                    return
-                # read and discard a declared body
-                remaining = request.body_length
-                while remaining:
-                    if not buffer:
+            with self.app() as respond:
+                while True:
+                    try:
+                        parsed = parse_request(buffer)
+                    except BadRequest as bad:
+                        yield from self._refuse(sock, bad.status, str(bad))
+                        return
+                    if parsed is None:
                         chunk = yield from aio.recv_some(sock, IDLE_TIMEOUT)
                         if not chunk:
-                            return
+                            return  # EOF, possibly mid-head: nothing to answer
                         buffer += chunk
-                    taken = min(remaining, len(buffer))
-                    del buffer[:taken]
-                    remaining -= taken
-                close = not request.keep_alive or self._stopping
-                conn.writing = True
-                response = None
-                try:
-                    with self.app(request) as (status, headers, body):
-                        response = render_response(
-                            status, headers, body,
-                            send_body=request.method != "HEAD",
-                            close=close)
-                        yield from aio.send_all(sock, response,
-                                                IDLE_TIMEOUT)
-                except Exception:  # noqa: BLE001 — the app's failure
-                    if response is not None:
-                        raise  # mid-send: a second answer would desync
-                    _report_error(request)
-                    yield from self._refuse(sock, 500,
-                                            "internal server error")
-                    return
-                conn.writing = False
-                if close or self._stopping:
-                    return
+                        continue
+                    request, consumed = parsed
+                    del buffer[:consumed]
+                    if request.method not in METHODS:
+                        yield from self._refuse(
+                            sock, 501, f"unsupported method {request.method}")
+                        return
+                    # read and discard a declared body
+                    remaining = request.body_length
+                    while remaining:
+                        if not buffer:
+                            chunk = yield from aio.recv_some(sock,
+                                                             IDLE_TIMEOUT)
+                            if not chunk:
+                                return
+                            buffer += chunk
+                        taken = min(remaining, len(buffer))
+                        del buffer[:taken]
+                        remaining -= taken
+                    conn.writing = True
+                    conn.answered = False
+                    try:
+                        yield from respond(request, functools.partial(
+                            self._answer, conn, request))
+                        if not conn.answered:
+                            raise RuntimeError("request left unanswered")
+                    except Exception:  # noqa: BLE001 — the app's failure
+                        if conn.answered:
+                            raise  # mid-send: a second answer would desync
+                        _report_error(request)
+                        yield from self._refuse(sock, 500,
+                                                "internal server error")
+                        return
+                    conn.writing = False
+                    if conn.close or self._stopping:
+                        return
         except (OSError, aio.TaskCancelled):
             pass  # reset, timeout, or a drain closing an idle connection
         except Exception:  # noqa: BLE001 — a fault after answering

@@ -28,9 +28,10 @@ MIN_RETRY_AFTER = 0.001
 
 
 class TokenBucket:
-    """Classic token bucket; thread-safe (both HTTP servers are
-    threaded). ``try_acquire`` never blocks; ``retry_after`` suggests a
-    strictly positive client sleep."""
+    """Classic token bucket; thread-safe. Each HTTP server serves from
+    one event-loop thread, but tests and callers on other threads read
+    and replace buckets while it serves. ``try_acquire`` never blocks;
+    ``retry_after`` suggests a strictly positive client sleep."""
 
     def __init__(self, rate_per_second: float, burst: int) -> None:
         if rate_per_second <= 0:

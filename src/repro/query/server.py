@@ -43,12 +43,12 @@ import contextlib
 import socket
 import time
 import types
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import Any, Dict, Generator, Iterator, Optional, Tuple
 from urllib.parse import urlparse
 
 from .. import obs
 from ..lg.breaker import CircuitBreaker
-from ..net.httpserver import LoopHTTPServer, Request
+from ..net.httpserver import Answer, LoopHTTPServer, Request, Respond
 from ..net.ratelimit import TokenBucket
 from .router import Router, UNKNOWN
 from .views import JSON_TYPE, QueryService, Response, _error_body
@@ -185,9 +185,12 @@ class QueryHTTPServer:
     # -- transport ---------------------------------------------------------
 
     @contextlib.contextmanager
+    def _connection(self) -> Iterator[Respond]:
+        """One connection's scope for the loop; it keeps no state."""
+        yield self._exchange
+
     def _exchange(self, request: Request,
-                  ) -> Iterator[Tuple[int, Iterable[Tuple[str, str]],
-                                      bytes]]:
+                  answer: Answer) -> Generator[Any, Any, None]:
         """One request for the loop: in flight until the loop has
         handed the response's last byte to the kernel."""
         started = time.perf_counter()
@@ -198,7 +201,7 @@ class QueryHTTPServer:
             metrics.requests.labels(route, str(status)).inc()
             metrics.latency.labels(route).observe(
                 time.perf_counter() - started)
-            yield status, headers.items(), body
+            yield from answer(status, headers.items(), body)
 
     def start(self) -> str:
         """Serve on a background event-loop thread; returns the base
@@ -210,7 +213,7 @@ class QueryHTTPServer:
             sock = socket.create_server((self.host, self.port),
                                         backlog=128)
         self.host, self.port = sock.getsockname()[:2]
-        self._http = LoopHTTPServer(sock, self._exchange)
+        self._http = LoopHTTPServer(sock, self._connection)
         self._http.start()
         return self.base_url
 

@@ -76,6 +76,22 @@ class TestAudit:
                   if count}
         assert counts == {"manifest_drift": 1, "checksum_mismatch": 1}
 
+    def test_damaged_manifest_reports_only_legacy_files(self, store):
+        """Under a damaged manifest an enveloped file vouches for
+        itself; a legacy file cannot, so it is still reported."""
+        scope = store.root / "linx"
+        legacy = scope / "v4" / f"{DATES[0]}.json.gz"
+        legacy.write_bytes(gzip.compress(json.dumps(Snapshot(
+            ixp="linx", family=4, captured_on=DATES[0]).to_dict(),
+        ).encode("utf-8")))
+        (scope / MANIFEST_NAME).write_text("not json")
+
+        report = fsck_store(store)
+        counts = {cls: count for cls, count in report.counts.items()
+                  if count}
+        assert counts == {"malformed": 1, "missing_manifest_entry": 1}
+        assert report.verified == report.scanned - 1
+
 
 class TestRepair:
     def test_repair_then_clean(self, store):
@@ -200,8 +216,10 @@ class TestDamageAcrossEnvelopeVersions:
         manifest = [f.damage_class for f in report.findings
                     if f.kind == "manifest"]
         assert manifest == ["checksum_mismatch"]
-        # with the ledger unreadable, no file has an entry
-        assert report.counts["missing_manifest_entry"] == len(DATES)
+        # the damaged ledger is the only finding: every file vouches
+        # for itself
+        assert len(report.findings) == 1
+        assert report.verified == len(DATES)
         assert not fsck_store(store, repair=True).clean
         assert fsck_store(store).clean
         assert envelope_version(path.read_bytes()) == 2

@@ -108,8 +108,7 @@ class TestEndToEnd:
     def served(self, linx_generator):
         server = LookingGlassServer(
             {("linx", 4): linx_generator.populated_route_server(4)},
-            rate_per_second=1e9, burst=10**6,
-            dialect_overrides={"linx": "birdseye"})
+            rate_per_second=1e9, burst=10**6)
         url = server.start()
         yield server, url
         server.stop()

@@ -1,6 +1,12 @@
 """Integration tests: LG HTTP server + client + a collection over
 them."""
 
+import json
+import socket
+import subprocess
+import sys
+import time
+
 import pytest
 
 from repro.collector import DatasetStore
@@ -11,6 +17,7 @@ from repro.collector.campaign import (
 )
 from repro.ixp import CommunityDictionary, dictionary_pair_for, get_profile
 from repro.lg import (
+    FaultSchedule,
     LookingGlassClient,
     LookingGlassError,
     LookingGlassServer,
@@ -31,6 +38,32 @@ def lg_setup(lg_world):
 def make_client(url, **kwargs):
     return LookingGlassClient(url, "linx", 4, sleep=lambda s: None,
                               **kwargs)
+
+
+def read_reply(sock):
+    """Read one response with a Content-Length body from ``sock``:
+    ``(status, headers, body)``."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = sock.recv(65536)
+        if not chunk:
+            raise ConnectionError(f"closed before a reply: {data!r}")
+        data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    headers = {name.lower(): value.strip() for name, _, value in
+               (line.partition(":") for line in lines[1:])}
+    while len(body) < int(headers["content-length"]):
+        body += sock.recv(65536)
+    return int(lines[0].split()[1]), headers, body
+
+
+def get(port, path):
+    """One GET on a fresh connection: ``(status, headers, body)``."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(f"GET {path} HTTP/1.1\r\nHost: lg\r\n\r\n"
+                     .encode("latin-1"))
+        return read_reply(sock)
 
 
 class TestEndpoints:
@@ -185,3 +218,116 @@ class TestScheduledFaultsOverHttp:
             assert client.status()["status"] == "ok"
         finally:
             server.faults = None
+
+
+ROUTES_PATHS = ("/linx/v4/api/v1/neighbors/{asn}/routes",
+                "/linx/v4/api/routes/pb_{asn}")
+
+
+class TestPageParameters:
+    """A ``page`` or ``page_size`` that is not an integer answers 400 on
+    both URL layouts, socket-free and over a socket."""
+
+    @pytest.fixture()
+    def asn(self, lg_setup):
+        _server, _url, rs, _gen = lg_setup
+        return sorted(rs.peer_asns())[0]
+
+    @pytest.mark.parametrize("layout", ROUTES_PATHS)
+    @pytest.mark.parametrize("query", ["page=abc", "page_size=x",
+                                       "page=1&page_size=1.5"])
+    def test_handle_answers_400(self, lg_setup, asn, layout, query):
+        server, _url, _rs, _gen = lg_setup
+        status, payload = server.handle(
+            layout.format(asn=asn) + "?" + query)
+        assert status == 400
+        assert payload["code"] == 400
+
+    @pytest.mark.parametrize("layout", ROUTES_PATHS)
+    def test_socket_answers_400_and_keeps_serving(self, lg_setup, asn,
+                                                 layout):
+        server, _url, _rs, _gen = lg_setup
+        path = layout.format(asn=asn)
+        status, _headers, body = get(server.port, path + "?page=abc")
+        assert status == 400
+        assert json.loads(body)["code"] == 400
+        status, _headers, _body = get(server.port, path + "?page=1")
+        assert status == 200
+
+
+class TestLoopServing:
+    """The LG on its event loop: stalls overlap, the connection cap's
+    ledger follows connection closes, the ops plane draws no fault."""
+
+    def test_slow_responses_overlap_across_connections(self, lg_setup):
+        server, _url, _rs, _gen = lg_setup
+        delay = 0.3
+        server.faults = FaultSchedule(slow_every=1, slow_delay=delay)
+        socks = [socket.create_connection(("127.0.0.1", server.port),
+                                          timeout=5) for _ in range(8)]
+        try:
+            started = time.monotonic()
+            for sock in socks:
+                sock.sendall(b"GET /linx/v4/api/v1/status HTTP/1.1\r\n"
+                             b"Host: lg\r\n\r\n")
+            statuses = [read_reply(sock)[0] for sock in socks]
+            elapsed = time.monotonic() - started
+        finally:
+            server.faults = None
+            for sock in socks:
+                sock.close()
+        assert statuses == [200] * 8
+        assert elapsed < 2 * delay, elapsed
+
+    def test_closed_connection_frees_its_cap_slot(self, lg_world):
+        _generator, route_server = lg_world("linx")
+        server = LookingGlassServer({("linx", 4): route_server},
+                                    rate_per_second=100_000,
+                                    burst=100_000, connection_cap=2)
+        request = (b"GET /linx/v4/api/v1/status HTTP/1.1\r\n"
+                   b"Host: lg\r\n\r\n")
+        with server.serve():
+            admitted = [socket.create_connection(
+                ("127.0.0.1", server.port), timeout=5) for _ in range(2)]
+            try:
+                for sock in admitted:
+                    sock.sendall(request)
+                    assert read_reply(sock)[0] == 200
+                status, headers, _body = get(server.port,
+                                             "/linx/v4/api/v1/status")
+                assert (status, headers["connection"]) == (503, "close")
+                # half-close one: the server closes it in turn, and has
+                # released its slot by the time we read that EOF.
+                admitted[0].shutdown(socket.SHUT_WR)
+                assert admitted[0].recv(1) == b""
+                assert get(server.port, "/linx/v4/api/v1/status")[0] \
+                    == 200
+            finally:
+                for sock in admitted:
+                    sock.close()
+        assert server.cap_rejections == 1
+        assert server.peak_connections["linx/v4"] == 2
+
+    def test_metrics_draws_no_fault(self, lg_setup):
+        server, _url, _rs, _gen = lg_setup
+        server.faults = FaultSchedule()
+        try:
+            assert get(server.port, "/linx/v4/api/v1/status")[0] == 200
+            assert server.faults.requests_seen == 1
+            status, headers, _body = get(server.port, "/metrics")
+            assert status == 200
+            assert headers["content-type"].startswith("text/plain")
+            assert server.faults.requests_seen == 1
+            assert get(server.port, "/linx/v4/api/v1/status")[0] == 200
+            assert server.faults.requests_seen == 2
+        finally:
+            server.faults = None
+
+
+def test_package_imports_no_stdlib_http_server():
+    """One HTTP server stack: neither server pulls in ``http.server``."""
+    probe = ("import sys, repro.cli, repro.lg, repro.query; "
+             "print('http.server' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", probe],
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"

@@ -1,11 +1,17 @@
 """The HTTP/1.1 server codec: request heads from bytes, responses as
-one buffer. No sockets."""
+one buffer, without sockets; and the app contract of the loop server
+over one."""
+
+import contextlib
+import socket
 
 import pytest
 
+from repro.net import aio
 from repro.net.httpserver import (
     MAX_HEAD_BYTES,
     BadRequest,
+    LoopHTTPServer,
     parse_request,
     render_response,
 )
@@ -131,3 +137,59 @@ class TestRenderResponse:
                                (501, "Not Implemented")):
             assert self.split(render_response(status, [], b""))[0] == \
                 f"HTTP/1.1 {status} {phrase}"
+
+
+class TestAppContract:
+    """One app for the loop server: a scope per connection, a waiting
+    ``respond``, an answer that closes, and no answer at all."""
+
+    @staticmethod
+    def serve(respond, scopes):
+        @contextlib.contextmanager
+        def app():
+            scopes.append("open")
+            try:
+                yield respond
+            finally:
+                scopes.append("closed")
+        server = LoopHTTPServer(socket.create_server(("127.0.0.1", 0)), app)
+        server.start()
+        return server
+
+    @staticmethod
+    def exchange(server, raw):
+        port = server.sock.getsockname()[1]
+        with socket.create_connection(("127.0.0.1", port),
+                                      timeout=5) as sock:
+            sock.sendall(raw)
+            return sock.makefile("rb").read()
+
+    def test_waits_then_answers_and_closes(self):
+        def respond(request, answer):
+            yield from aio.sleep(0.01)
+            yield from answer(200, [("X-Path", request.target)], b"ok",
+                              close=True)
+        scopes = []
+        server = self.serve(respond, scopes)
+        try:
+            reply = self.exchange(server, b"GET /a HTTP/1.1\r\n\r\n")
+        finally:
+            server.stop()
+        assert reply.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert b"X-Path: /a\r\n" in reply
+        assert b"Connection: close\r\n" in reply
+        assert reply.endswith(b"\r\n\r\nok")
+        assert scopes == ["open", "closed"]
+
+    def test_respond_without_answer_is_500(self, capsys):
+        def respond(request, answer):
+            yield from aio.sleep(0)
+        scopes = []
+        server = self.serve(respond, scopes)
+        try:
+            reply = self.exchange(server, b"GET /a HTTP/1.1\r\n\r\n")
+        finally:
+            server.stop()
+        assert reply.startswith(b"HTTP/1.1 500 ")
+        assert "request left unanswered" in capsys.readouterr().err
+        assert scopes == ["open", "closed"]
