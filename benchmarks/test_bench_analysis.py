@@ -45,12 +45,23 @@ BENCH_OUT = Path(__file__).resolve().parent.parent / "BENCH_analysis.json"
 
 class StallingStore(DatasetStore):
     """A DatasetStore whose snapshot reads stall like cold remote
-    storage. Forked engine workers rebuild it via ``type(store)(root)``
-    and inherit the stall, so every mode pays the same per-read tax."""
+    storage. Forked engine workers inherit this instance, stall
+    included, so every mode pays the same per-read tax."""
 
     def read_snapshot(self, ixp, family, date, *, heal=True):
         time.sleep(STALL_DELAY)
         return super().read_snapshot(ixp, family, date, heal=heal)
+
+
+class CountingStore(DatasetStore):
+    """A DatasetStore that counts its snapshot reads: the witness that
+    a warm analyze reads no route data."""
+
+    reads = 0
+
+    def read_snapshot(self, *args, **kwargs):
+        self.reads += 1
+        return super().read_snapshot(*args, **kwargs)
 
 
 def build_store(root, store_cls, scale):
@@ -119,19 +130,22 @@ def test_parallel_aggregation_speedup(tmp_path):
 
 
 def test_warm_cache_speedup(tmp_path):
-    store = build_store(tmp_path / "plain", DatasetStore, WARM_SCALE)
+    store = build_store(tmp_path / "plain", CountingStore, WARM_SCALE)
     cold, study = timed_analysis(store, jobs=1,
                                  cache=AggregateCache(store))
     cold_bundle = bundle_bytes(study)
+    assert store.reads == len(LARGE_FOUR) * 2
     warm = float("inf")
     warm_bundle = None
     for _round in range(ROUNDS + 1):
+        store.reads = 0
         cost, study = timed_analysis(store, jobs=1,
                                      cache=AggregateCache(store))
-        assert study.snapshots == {}, \
+        bundle = bundle_bytes(study)
+        assert store.reads == 0, \
             "warm analyze should not load route data"
         warm = min(warm, cost)
-        warm_bundle = warm_bundle or bundle_bytes(study)
+        warm_bundle = warm_bundle or bundle
 
     speedup = cold / warm
     emit("analysis engine — warm aggregate cache",

@@ -282,20 +282,21 @@ class DatasetStore:
         """Read + fully verify one artefact; returns ``(payload,
         sha256)``. Raises the :class:`IntegrityError` taxonomy (after
         metering) on damage. ``manifest=False`` skips the manifest
-        cross-check, for artefacts it does not record."""
+        cross-check, for artefacts it does not record. An enveloped
+        file vouches for itself, so only a legacy file's read loads the
+        manifest."""
         data = with_fs_retries(lambda: active_fs().read_bytes(path),
                                label="artefact:read")
         try:
             payload, digest, self_verified = decode_artefact(
                 data, kind=kind, gz=gz, path=path)
             entry = None
-            if manifest:
+            if manifest and not self_verified:
                 scope = self._scope_dir(path)
                 rel = path.relative_to(scope).as_posix()
                 with self._manifest_lock:
                     entry = Manifest.load(scope).get(rel)
-            if (entry is not None and entry.get("sha256") != digest
-                    and not self_verified):
+            if entry is not None and entry.get("sha256") != digest:
                 # a legacy (un-enveloped) file cannot vouch for itself;
                 # the manifest is the only witness and it disagrees.
                 raise ChecksumMismatchError(
@@ -581,28 +582,20 @@ class DatasetStore:
                 if damaged is not None and error.record is not None:
                     damaged.append(error.record)
 
-    def latest_verified(self, ixp: str, family: int,
+    def latest_snapshot(self, ixp: str, family: int,
                         damaged: Optional[List[QuarantineRecord]] = None,
-                        ) -> Optional[Tuple[Snapshot, str]]:
-        """The newest loadable snapshot with its payload digest, or
-        None. Damaged newer dates are quarantined and skipped."""
+                        ) -> Optional[Snapshot]:
+        """The newest *loadable* snapshot, or None: a damaged latest
+        file is quarantined and the next-newest date is used instead."""
         for date in reversed(self.snapshot_dates(ixp, family)):
             try:
-                return self.read_snapshot(ixp, family, date)
+                return self.load_snapshot(ixp, family, date)
             except FileNotFoundError:
                 continue
             except IntegrityError as error:
                 if damaged is not None and error.record is not None:
                     damaged.append(error.record)
         return None
-
-    def latest_snapshot(self, ixp: str, family: int,
-                        damaged: Optional[List[QuarantineRecord]] = None,
-                        ) -> Optional[Snapshot]:
-        """The newest *loadable* snapshot: a damaged latest file is
-        quarantined and the next-newest date is used instead."""
-        loaded = self.latest_verified(ixp, family, damaged=damaged)
-        return loaded[0] if loaded is not None else None
 
     def snapshot_digest(self, ixp: str, family: int,
                         date: str) -> Optional[str]:

@@ -5,15 +5,15 @@ each key's :class:`~repro.core.aggregate.SnapshotAggregate` depends
 only on that key's snapshot and dictionary. This module exploits that
 twice:
 
-* :func:`run_plans` fans per-key aggregation over a bounded
-  ``ProcessPoolExecutor`` (``jobs`` workers, default 1 = the serial
-  discipline) and reassembles results in submission order, so the
-  outcome is value-identical to a serial run. Workers are strictly
-  **read-only**: they verify snapshots without healing and report
-  damaged dates back, and the coordinating process re-drives the
-  store's normal quarantine path — manifest and quarantine writes stay
-  single-process, exactly like the collection engine's coordinator
-  model (PR 4).
+* :func:`run_plans` is the one way a key is aggregated: at ``jobs <= 1``
+  it runs each plan inline, otherwise it fans the plans over a bounded
+  ``ProcessPoolExecutor`` (``jobs`` workers) and reassembles results in
+  submission order, so the outcome is value-identical either way.
+  Plans are strictly **read-only**: they verify snapshots without
+  healing and report damaged dates back, and the coordinating process
+  re-drives the store's normal quarantine path — manifest and
+  quarantine writes stay single-process, exactly like the collection
+  engine's coordinator model.
 * :class:`AggregateCache` persists computed aggregates in the
   :class:`~repro.collector.store.DatasetStore` under a key derived
   from the snapshot envelope's sha256, the dictionary digest, and
@@ -23,10 +23,10 @@ twice:
   integrity envelope machinery: atomic writes, fsck awareness, and
   quarantine-on-damage falling back to recompute.
 
-Worker processes are forked, so plans (snapshots, dictionaries) reach
-them by inherited memory, not pickling; only the compact aggregates
-travel back. Platforms without ``fork`` fall back to inline serial
-execution — same values, no parallelism.
+Worker processes are forked, so plans (snapshots, dictionaries, the
+caller's store) reach them by inherited memory, not pickling; only the
+compact aggregates travel back. Platforms without ``fork`` fall back to
+inline serial execution — same values, no parallelism.
 """
 
 from __future__ import annotations
@@ -36,13 +36,16 @@ import time
 import types
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..collector.integrity import IntegrityError, SchemaDriftError
 from ..collector.snapshot import Snapshot
 from ..ixp.dictionary import CommunityDictionary
 from .aggregate import SnapshotAggregate, aggregate_snapshot
+
+if TYPE_CHECKING:
+    from ..collector.store import DatasetStore
 
 Key = Tuple[str, int]  # (ixp key, family)
 
@@ -86,24 +89,21 @@ class AggregationPlan:
 
     Two task shapes share the dataclass:
 
-    * **in-memory** — ``snapshot`` is set; the worker only aggregates;
-    * **store-backed** — ``root``/``dates`` are set; the worker builds
-      its own read-only store via ``store_factory(root)``, walks the
-      candidate dates newest-first, loads + verifies (without healing)
-      the first intact one, and aggregates it. The store factory must
-      accept the root path as its only argument.
+    * **in-memory** — ``snapshot`` is set; the plan only aggregates;
+    * **store-backed** — ``store``/``dates`` are set; the plan walks the
+      candidate dates newest-first through the caller's store, loads +
+      verifies (without healing) the first intact one, and aggregates
+      it. Inline, the read goes through that store itself (its series
+      decode memo carries over to later reads); a forked worker reads
+      its inherited copy.
     """
 
     key: Key
     dictionary: CommunityDictionary
     snapshot: Optional[Snapshot] = None
-    root: Optional[str] = None
+    store: Optional["DatasetStore"] = None
     #: candidate snapshot dates, newest first (store-backed plans).
     dates: Tuple[str, ...] = ()
-    store_factory: Optional[Callable] = None
-    #: ship the loaded snapshot back to the coordinator (costs one
-    #: pickle of the route table; aggregates alone are compact).
-    return_snapshot: bool = True
 
 
 @dataclass
@@ -112,7 +112,6 @@ class PlanResult:
 
     key: Key
     aggregate: Optional[SnapshotAggregate] = None
-    snapshot: Optional[Snapshot] = None
     #: collection date actually aggregated (store-backed plans).
     date: Optional[str] = None
     #: envelope payload digest of the aggregated snapshot.
@@ -135,15 +134,12 @@ def _execute_plan(plan: AggregationPlan) -> PlanResult:
     if plan.snapshot is not None:
         result.aggregate = aggregate_snapshot(plan.snapshot,
                                               plan.dictionary)
-        result.snapshot = plan.snapshot
-        result.date = plan.snapshot.captured_on
     else:
-        store = (plan.store_factory or _default_store)(plan.root)
         damaged: List[str] = []
         ixp, family = plan.key
         for date in plan.dates:
             try:
-                snapshot, digest = store.read_snapshot(
+                snapshot, digest = plan.store.read_snapshot(
                     ixp, family, date, heal=False)
             except FileNotFoundError:
                 continue
@@ -152,18 +148,12 @@ def _execute_plan(plan: AggregationPlan) -> PlanResult:
                 continue
             result.aggregate = aggregate_snapshot(snapshot,
                                                   plan.dictionary)
-            result.snapshot = snapshot if plan.return_snapshot else None
             result.date = date
             result.snapshot_sha256 = digest
             break
         result.damaged_dates = tuple(damaged)
     result.elapsed = time.perf_counter() - started
     return result
-
-
-def _default_store(root):
-    from ..collector.store import DatasetStore
-    return DatasetStore(root)
 
 
 def _execute_indexed(index: int) -> Tuple[int, PlanResult]:

@@ -15,11 +15,12 @@ Glues the substrates together the way the paper's methodology does:
     study = Study.synthetic(scale=0.05)
     fig3 = study.action_vs_informational()
 
-Aggregation parallelises over independent (IXP, family) keys through
-:mod:`repro.core.engine` when ``jobs > 1``, and store-backed studies
-can reuse a content-addressed :class:`~repro.core.engine.AggregateCache`
-so re-analysing an unchanged store skips route data entirely. Both
-paths are value-identical to the serial, uncached discipline.
+Aggregation runs over independent (IXP, family) keys through
+:func:`repro.core.engine.run_plans`, inline at ``jobs <= 1`` and over
+worker processes above, and store-backed studies can reuse a
+content-addressed :class:`~repro.core.engine.AggregateCache` so
+re-analysing an unchanged store skips route data entirely. Every
+``jobs`` value, cached or not, gives the same values.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import obs
+from ..collector.integrity import IntegrityError
 from ..collector.sanitation import SanitationReport, sanitise
 from ..collector.snapshot import Snapshot
 from ..ixp.dictionary import CommunityDictionary
@@ -104,26 +106,39 @@ def _study_rows(study: "Study") -> int:
     return len(study.keys())
 
 
+def effective_dictionary(store, ixp: str,
+                         damaged: Optional[List] = None,
+                         ) -> CommunityDictionary:
+    """The dictionary classification uses for *ixp*: the stored one
+    when it verifies, else the IXP's documented scheme. The store
+    quarantines a damaged dictionary; pass a list as ``damaged`` to
+    receive its record."""
+    try:
+        return store.load_dictionary(ixp)
+    except FileNotFoundError:
+        pass
+    except IntegrityError as error:
+        if damaged is not None and error.record is not None:
+            damaged.append(error.record)
+    return dictionary_for(get_profile(ixp))
+
+
 @dataclass
 class Study:
     """A loaded study: one analysis snapshot per (IXP, family), plus the
     dictionaries needed to classify them.
 
-    ``jobs`` bounds aggregation concurrency (1 = serial, the default);
-    a warm :class:`~repro.core.engine.AggregateCache` can satisfy keys
-    without any snapshot at all, so everything downstream of
-    aggregation keys itself off :meth:`keys`, never ``snapshots``.
+    ``jobs`` bounds aggregation concurrency (1 = serial, the default).
+    Only :meth:`synthetic` and :meth:`from_snapshots` keep route tables
+    in ``snapshots``; a :meth:`from_store` study holds aggregates alone,
+    so everything downstream of aggregation keys itself off
+    :meth:`keys`, never ``snapshots``.
     """
 
     snapshots: Dict[Key, Snapshot] = field(default_factory=dict)
     dictionaries: Dict[str, CommunityDictionary] = field(default_factory=dict)
     jobs: int = 1
     _aggregates: Dict[Key, SnapshotAggregate] = field(default_factory=dict)
-    #: write-back bookkeeping for lazily-aggregated store keys:
-    #: key -> (collection date, snapshot payload sha256).
-    _pending_cache: Dict[Key, Tuple[str, str]] = field(
-        default_factory=dict, repr=False)
-    _cache: Optional[AggregateCache] = field(default=None, repr=False)
     #: memoised paper-ordered key tuple + the key set it was built from.
     _key_order: Optional[Tuple[Key, ...]] = field(default=None, repr=False)
     _key_source: frozenset = field(default=frozenset(), repr=False)
@@ -163,87 +178,63 @@ class Study:
         A damaged latest snapshot is quarantined by the store and the
         next-newest date is analysed instead; a damaged dictionary
         falls back to the IXP's documented scheme. Pass a list as
-        ``damaged`` to receive the quarantine records — the analysis
-        treats those artefacts exactly like missing collection days.
+        ``damaged`` to receive the quarantine records, in the order a
+        serial read meets them — the analysis treats those artefacts
+        exactly like missing collection days.
 
-        With ``jobs > 1`` snapshot verification + aggregation fans out
-        over worker processes; workers read without healing and the
-        coordinator replays any damage through the store's normal
-        quarantine path, so on-disk effects match a serial run. With a
-        ``cache``, keys whose newest snapshot + dictionary digest match
-        a stored aggregate skip snapshot loading entirely.
+        With a ``cache``, keys whose newest snapshot + dictionary digest
+        match a stored aggregate skip snapshot loading entirely. Every
+        other key becomes one store-backed plan for
+        :func:`~repro.core.engine.run_plans`, inline at ``jobs <= 1``
+        and over worker processes above. Plans read without healing;
+        this process replays any damage through the store's normal
+        quarantine path and writes each new aggregate to the cache
+        before returning, so on-disk effects do not depend on ``jobs``.
+        The study keeps the aggregates only, never the route tables.
         """
-        from ..collector.integrity import IntegrityError
-
         study = cls(jobs=jobs)
-        study._cache = cache
         effective: Dict[str, CommunityDictionary] = {}
-        misses: List[Key] = []
+        found: Dict[str, List] = {}  # damage records per IXP
+        plans: List[AggregationPlan] = []
         for ixp in ixps:
-            try:
-                dictionary = store.load_dictionary(ixp)
-            except FileNotFoundError:
-                dictionary = dictionary_for(get_profile(ixp))
-            except IntegrityError as error:
-                if damaged is not None and error.record is not None:
-                    damaged.append(error.record)
-                dictionary = dictionary_for(get_profile(ixp))
+            dictionary = effective_dictionary(
+                store, ixp, found.setdefault(ixp, []))
             effective[ixp] = dictionary
             for family in families:
                 key = (ixp, family)
-                if cache is not None:
-                    hit = cache.probe(ixp, family, dictionary)
-                    if hit is not None:
-                        study._aggregates[key] = hit
-                        continue
-                if jobs <= 1:
-                    loaded = store.latest_verified(ixp, family,
-                                                   damaged=damaged)
-                    if loaded is not None:
-                        snapshot, digest = loaded
-                        study.snapshots[key] = snapshot
-                        study._pending_cache[key] = (
-                            snapshot.captured_on, digest)
-                else:
-                    misses.append(key)
-
-        if misses:
-            # workers ship back only the compact aggregate — like a
-            # cache hit, a parallel study keys everything off
-            # :meth:`keys`, not raw snapshots (pickling full route
-            # tables back through the pool would dominate wall clock)
-            plans = [AggregationPlan(
-                key=key,
-                dictionary=effective[key[0]],
-                root=str(store.root),
-                dates=tuple(reversed(store.snapshot_dates(*key))),
-                store_factory=type(store),
-                return_snapshot=False,
-            ) for key in misses]
-            for result in run_plans(plans, jobs=jobs):
-                ixp, family = result.key
-                for date in result.damaged_dates:
-                    # the worker saw damage read-only; replay the read
-                    # through the healing path so quarantine + record
-                    # happen exactly once, in this process.
-                    try:
-                        store.load_snapshot(ixp, family, date)
-                    except FileNotFoundError:
-                        pass
-                    except IntegrityError as error:
-                        if damaged is not None and error.record is not None:
-                            damaged.append(error.record)
-                if result.aggregate is None:
+                hit = (cache.probe(ixp, family, dictionary)
+                       if cache is not None else None)
+                if hit is not None:
+                    study._aggregates[key] = hit
                     continue
-                study._aggregates[result.key] = result.aggregate
-                if result.snapshot is not None:
-                    study.snapshots[result.key] = result.snapshot
-                if (cache is not None and result.snapshot_sha256
-                        and result.date):
-                    cache.put(ixp, family, result.date,
-                              result.snapshot_sha256, effective[ixp],
-                              result.aggregate)
+                plans.append(AggregationPlan(
+                    key=key, dictionary=dictionary, store=store,
+                    dates=tuple(reversed(store.snapshot_dates(*key)))))
 
+        for result in run_plans(plans, jobs=jobs):
+            ixp, family = result.key
+            for date in result.damaged_dates:
+                # the plan saw damage read-only; replay the read
+                # through the healing path so quarantine + record
+                # happen exactly once, in this process.
+                try:
+                    store.load_snapshot(ixp, family, date)
+                except FileNotFoundError:
+                    pass
+                except IntegrityError as error:
+                    if error.record is not None:
+                        found[ixp].append(error.record)
+            if result.aggregate is None:
+                continue
+            study._aggregates[result.key] = result.aggregate
+            if cache is not None:
+                cache.put(ixp, family, result.date,
+                          result.snapshot_sha256, effective[ixp],
+                          result.aggregate)
+
+        if damaged is not None:
+            for records in found.values():
+                damaged.extend(records)
         for ixp, _family in study.keys():
             study.dictionaries.setdefault(ixp, effective[ixp])
         return study
@@ -270,7 +261,7 @@ class Study:
 
     def keys(self) -> Tuple[Key, ...]:
         """All (IXP, family) keys this study can analyse — loaded
-        snapshots plus cache-satisfied aggregates — in paper order.
+        snapshots plus store-loaded aggregates — in paper order.
         The sort is memoised and invalidated when the key set changes."""
         current = frozenset(self.snapshots) | frozenset(self._aggregates)
         if self._key_order is None or self._key_source != current:
@@ -282,10 +273,8 @@ class Study:
     def aggregate(self, ixp: str, family: int) -> SnapshotAggregate:
         key = (ixp, family)
         if key not in self._aggregates:
-            snapshot = self.snapshots[key]
-            dictionary = self.dictionaries[ixp]
-            self._aggregates[key] = aggregate_snapshot(snapshot, dictionary)
-            self._write_back(key)
+            self._aggregates[key] = aggregate_snapshot(
+                self.snapshots[key], self.dictionaries[ixp])
         return self._aggregates[key]
 
     def aggregates(self, family: Optional[int] = None,
@@ -294,31 +283,13 @@ class Study:
         wanted = [key for key in self.keys()
                   if (family is None or key[1] == family)
                   and (ixps is None or key[0] in ixps)]
-        pending = [key for key in wanted
-                   if key not in self._aggregates
-                   and key in self.snapshots]
-        if self.jobs > 1 and len(pending) > 1:
-            plans = [AggregationPlan(key=key,
-                                     dictionary=self.dictionaries[key[0]],
-                                     snapshot=self.snapshots[key])
-                     for key in pending]
-            for result in run_plans(plans, jobs=self.jobs):
-                self._aggregates[result.key] = result.aggregate
-                self._write_back(result.key)
+        plans = [AggregationPlan(key=key,
+                                 dictionary=self.dictionaries[key[0]],
+                                 snapshot=self.snapshots[key])
+                 for key in wanted if key not in self._aggregates]
+        for result in run_plans(plans, jobs=self.jobs):
+            self._aggregates[result.key] = result.aggregate
         return [self.aggregate(*key) for key in wanted]
-
-    def _write_back(self, key: Key) -> None:
-        """Persist a freshly computed aggregate to the cache, if this
-        study has one and knows the snapshot's content address."""
-        if self._cache is None:
-            return
-        pending = self._pending_cache.pop(key, None)
-        if pending is None:
-            return
-        date, snapshot_sha256 = pending
-        ixp, family = key
-        self._cache.put(ixp, family, date, snapshot_sha256,
-                        self.dictionaries[ixp], self._aggregates[key])
 
     # -- figures / tables ------------------------------------------------
 
@@ -328,7 +299,7 @@ class Study:
 
     def _population(self) -> List[object]:
         """Per-key population facts for Table 1: the snapshot when
-        loaded, else the cached aggregate (same counts, no routes)."""
+        loaded, else the aggregate (same counts, no routes)."""
         return [self.snapshots.get(key) or self._aggregates[key]
                 for key in self.keys()]
 

@@ -56,16 +56,18 @@ from .ratelimit import (
     InstabilityInjector,
 )
 
+#: An ASN is 32 bits, at most ten digits: a longer id is no resource
+#: (404), and never reaches ``int()`` and its digit limit.
 _ROUTE_PATTERN = re.compile(
     r"^/(?P<ixp>[\w.-]+)/v(?P<family>[46])" + api.API_PREFIX
     + r"(?P<resource>/status|/config|/neighbors"
-    + r"|/neighbors/(?P<asn>\d+)/routes)$")
+    + r"|/neighbors/(?P<asn>\d{1,10})/routes)$")
 
 #: birdseye URL layout: /<ixp>/v<family>/api/protocols and
 #: /<ixp>/v<family>/api/routes/pb_<asn>
 _BIRDSEYE_PATTERN = re.compile(
     r"^/(?P<ixp>[\w.-]+)/v(?P<family>[46])/api"
-    r"(?P<resource>/protocols|/routes/pb_(?P<asn>\d+))$")
+    r"(?P<resource>/protocols|/routes/pb_(?P<asn>\d{1,10}))$")
 
 #: ops-plane path serving the process metrics in Prometheus text
 #: format (never rate limited, never fault injected).

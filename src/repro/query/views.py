@@ -44,10 +44,9 @@ from ..collector.integrity import IntegrityError
 from ..core.aggregate import aggregate_snapshot
 from ..core.engine import AGGREGATOR_VERSION, AggregateCache, aggregate_cache_key
 from ..core.export import artefact_names, dumps_rows, study_rows
-from ..core.pipeline import Study
+from ..core.pipeline import Study, effective_dictionary
 from ..core.stability import summary_variation_rows
 from ..ixp.profiles import ALL_IXPS, get_profile
-from ..ixp.schemes import dictionary_for
 from .cache import ResponseCache
 
 #: bumped whenever a response *shape* changes, so every ETag moves and
@@ -241,15 +240,6 @@ class QueryService:
             return None
         return (stat.st_mtime_ns, stat.st_size, stat.st_ino)
 
-    def _effective_dictionary(self, ixp: str):
-        """The dictionary classification uses for *ixp* — the stored
-        one when verifiable, else the documented scheme (the same
-        fallback :meth:`Study.from_store` applies)."""
-        try:
-            return self.store.load_dictionary(ixp)
-        except (FileNotFoundError, IntegrityError):
-            return dictionary_for(get_profile(ixp))
-
     def _addresses_for(self, ixp: str) -> Tuple[KeyAddress, ...]:
         signature = self._manifest_signature(ixp)
         memo = self._address_memo.get(ixp)
@@ -259,7 +249,7 @@ class QueryService:
             metrics.fingerprints.labels("memo").inc()
             return memo[1]
         metrics.fingerprints.labels("refresh").inc()
-        dictionary = self._effective_dictionary(ixp)
+        dictionary = effective_dictionary(self.store, ixp)
         dictionary_sha256 = dictionary.digest()
         self._dictionary_memo[ixp] = (dictionary_sha256, dictionary)
         series = self.store.snapshot_series(ixp, self.families)
@@ -459,7 +449,7 @@ class QueryService:
         if memo is not None and memo[0] == address.dictionary_sha256:
             dictionary = memo[1]
         else:
-            dictionary = self._effective_dictionary(address.ixp)
+            dictionary = effective_dictionary(self.store, address.ixp)
         snapshot, digest = self.store.read_snapshot(
             address.ixp, address.family, address.captured_on)
         aggregate = aggregate_snapshot(snapshot, dictionary)

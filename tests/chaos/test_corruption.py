@@ -73,10 +73,9 @@ class TestCacheCorruptionMatrix:
 
     @pytest.fixture()
     def warm_store(self, store):
-        study = Study.from_store(store, ixps=("linx",), families=(4,),
-                                 cache=AggregateCache(store))
-        study.table1()
-        study.aggregates(4)  # triggers write-back of the cache entry
+        # from_store writes the cache entry before it returns
+        Study.from_store(store, ixps=("linx",), families=(4,),
+                         cache=AggregateCache(store))
         return store
 
     def cache_paths(self, store):
@@ -136,7 +135,7 @@ class TestAnalysisDegradesGracefully:
         study = Study.from_store(store, ixps=("linx",), families=(4,),
                                  damaged=damaged)
         # the analysis ran over the previous collection day
-        assert study.snapshots[("linx", 4)].captured_on \
+        assert study.aggregate("linx", 4).captured_on \
             == linx_generator.snapshot(4, DAYS[-2]).captured_on
         assert [r.damage_class for r in damaged] == ["truncated"]
         # and the file was quarantined, not deleted

@@ -26,6 +26,24 @@ def store(tmp_path, linx_generator):
     return store
 
 
+@pytest.fixture()
+def reads(store, monkeypatch):
+    """Every ``(ixp, family, date)`` whose route data *store* reads."""
+    seen = []
+    read = store.read_snapshot
+
+    def counting(ixp, family, date, **kwargs):
+        seen.append((ixp, family, date))
+        return read(ixp, family, date, **kwargs)
+
+    monkeypatch.setattr(store, "read_snapshot", counting)
+    return seen
+
+
+def newest(store, family=4):
+    return ("linx", family, store.snapshot_dates("linx", family)[-1])
+
+
 def analyze(store, cache=None, damaged=None):
     return Study.from_store(store, ixps=("linx",), families=(4,),
                             cache=cache, damaged=damaged)
@@ -42,42 +60,60 @@ def cache_paths(store):
 
 
 class TestCacheLifecycle:
-    def test_first_analyze_populates_the_cache(self, store):
+    def test_first_analyze_populates_the_cache(self, store, reads):
         assert not cache_paths(store)
         study = analyze(store, cache=AggregateCache(store))
-        assert study.snapshots  # cold: route data was loaded
-        rows(study)  # aggregation happens lazily; triggers write-back
+        assert reads == [newest(store)]  # cold: route data was loaded
+        rows(study)
         assert len(cache_paths(store)) == 1
         assert store.aggregate_keys("linx")
 
-    def test_second_analyze_hits_without_loading_routes(self, store):
+    def test_cold_analyze_writes_every_entry_before_any_figure(
+            self, store, linx_generator):
+        for day in DAYS:
+            store.save_snapshot(linx_generator.snapshot(6, day,
+                                                        degraded=False))
+        Study.from_store(store, ixps=("linx",), families=(4, 6),
+                         jobs=1, cache=AggregateCache(store))
+        # no figure asked for yet: one entry per missed key is on disk
+        digest = store.load_dictionary("linx").digest()
+        assert store.aggregate_keys("linx") == sorted(
+            aggregate_cache_key(store.snapshot_digest(*newest(store, f)),
+                                digest)
+            for f in (4, 6))
+
+    def test_second_analyze_hits_without_loading_routes(self, store,
+                                                        reads):
         cold = analyze(store, cache=AggregateCache(store))
         cold_rows = rows(cold)
+        reads.clear()
         warm = analyze(store, cache=AggregateCache(store))
         # a hit satisfies the key from the cached counters alone
-        assert warm.snapshots == {}
         assert warm.keys() == (("linx", 4),)
         assert rows(warm) == cold_rows
+        assert reads == []
 
-    def test_recollection_misses(self, store, linx_generator):
+    def test_recollection_misses(self, store, linx_generator, reads):
         rows(analyze(store, cache=AggregateCache(store)))
         store.save_snapshot(linx_generator.snapshot(4, 14,
                                                     degraded=False))
+        reads.clear()
         study = analyze(store, cache=AggregateCache(store))
         # the newer snapshot's digest moved the key: recomputed
-        assert ("linx", 4) in study.snapshots
+        assert reads == [newest(store)]
         rows(study)
         assert len(cache_paths(store)) == 2
 
-    def test_dictionary_change_misses(self, store):
+    def test_dictionary_change_misses(self, store, reads):
         rows(analyze(store, cache=AggregateCache(store)))
         changed = store.load_dictionary("linx")
         changed.add_rule(CommunityRule(
             asn_field=65099, category=ActionCategory.BLACKHOLING,
             description="synthetic cache-busting rule"))
         store.save_dictionary("linx", changed)
+        reads.clear()
         study = analyze(store, cache=AggregateCache(store))
-        assert ("linx", 4) in study.snapshots
+        assert reads == [newest(store)]
         rows(study)
         assert len(cache_paths(store)) == 2
 
@@ -89,12 +125,14 @@ class TestCacheLifecycle:
 class TestCacheDamage:
     @pytest.mark.parametrize("damage", [truncate, flip_trailer_bit,
                                         overwrite_garbage])
-    def test_corrupt_entry_recomputes_identically(self, store, damage):
+    def test_corrupt_entry_recomputes_identically(self, store, damage,
+                                                  reads):
         cold_rows = rows(analyze(store, cache=AggregateCache(store)))
         damage(cache_paths(store)[0])
+        reads.clear()
         study = analyze(store, cache=AggregateCache(store))
         # damage can never change the output — only force a recompute
-        assert ("linx", 4) in study.snapshots
+        assert reads == [newest(store)]
         assert rows(study) == cold_rows
         # the broken entry was quarantined, never deleted, and the
         # recompute republished a fresh entry under the same key

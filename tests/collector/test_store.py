@@ -19,6 +19,7 @@ from repro.collector import (
     Snapshot,
     TruncatedArtefactError,
 )
+from repro.io.faultfs import active_fs
 from repro.ixp import dictionary_for, get_profile
 
 from ..support import envelope_version, writing_v1
@@ -239,6 +240,26 @@ class TestIntegrityFailures:
         store._forget_manifest_entry(path)
         loaded = store.load_snapshot("linx", 4, "2021-07-19")
         assert loaded.captured_on == "2021-07-19"
+
+    def test_self_verified_read_leaves_the_manifest_unread(
+            self, saved, monkeypatch):
+        """Only a legacy file needs the manifest as its witness: a
+        verified read of a version-2 snapshot reads the snapshot's
+        bytes and nothing else."""
+        store, path = saved
+        assert envelope_version(path.read_bytes()) == 2
+        fs = active_fs()
+        read = fs.read_bytes
+        opened = []
+
+        def recording(target):
+            opened.append(str(target))
+            return read(target)
+
+        monkeypatch.setattr(fs, "read_bytes", recording)
+        loaded = store.load_snapshot("linx", 4, "2021-07-19")
+        assert loaded.captured_on == "2021-07-19"
+        assert opened == [str(path)]
 
     def test_iter_and_latest_skip_damage(self, store):
         for date in ("2021-07-19", "2021-07-26", "2021-08-02"):

@@ -70,10 +70,8 @@ class TestStoreBackedPlans:
 
     def _plan(self, store, dictionary):
         return AggregationPlan(
-            key=("linx", 4), dictionary=dictionary,
-            root=str(store.root),
-            dates=tuple(reversed(store.snapshot_dates("linx", 4))),
-            store_factory=type(store))
+            key=("linx", 4), dictionary=dictionary, store=store,
+            dates=tuple(reversed(store.snapshot_dates("linx", 4))))
 
     def test_worker_aggregates_newest_date(self, store, linx_generator):
         plan = self._plan(store, linx_generator.dictionary)

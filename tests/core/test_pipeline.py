@@ -35,6 +35,53 @@ class TestStudyConstruction:
         assert agg_loaded.std_action_count == agg_direct.std_action_count
 
 
+class TestFromStore:
+    @pytest.fixture()
+    def store(self, tmp_path, linx_generator):
+        store = DatasetStore(tmp_path / "ds")
+        store.save_dictionary("linx", linx_generator.dictionary)
+        for family in (4, 6):
+            store.save_snapshot(linx_generator.snapshot(family,
+                                                        degraded=False))
+        return store
+
+    @pytest.mark.parametrize("families,jobs", [((4, 6), 1), ((4,), 4)],
+                             ids=["two-keys-jobs1", "one-key-jobs4"])
+    def test_inline_reads_keep_the_decode_memo(self, store, families,
+                                               jobs):
+        # jobs=1, or a single key at any jobs, runs the plans inline
+        # through the caller's store: its series decode memo then
+        # serves the next read of each key (the Tables 3/4 pass)
+        Study.from_store(store, ixps=("linx",), families=families,
+                         jobs=jobs)
+        assert set(store._decode_memos) == {("linx", family)
+                                            for family in families}
+
+    def test_damage_records_keep_serial_order_at_any_jobs(
+            self, tmp_path, linx_generator, decix_generator):
+        records = {}
+        for jobs in (1, 4):
+            store = DatasetStore(tmp_path / f"jobs{jobs}")
+            for generator in (linx_generator, decix_generator):
+                store.save_dictionary(generator.profile.key,
+                                      generator.dictionary)
+                store.save_snapshot(generator.snapshot(4,
+                                                       degraded=False))
+            [linx] = (store.root / "linx" / "v4").glob("*.json.gz")
+            linx.write_bytes(linx.read_bytes()[:40])
+            (store.root / "decix-fra" / "dictionary.json").write_bytes(
+                b"{")
+            damaged = []
+            Study.from_store(store, ixps=("linx", "decix-fra"),
+                             families=(4,), jobs=jobs, damaged=damaged)
+            records[jobs] = [r.original for r in damaged]
+        # per IXP in the order asked: its dictionary, then its keys
+        assert records[1] == [
+            linx.relative_to(store.root).as_posix(),
+            "decix-fra/dictionary.json"]
+        assert records[4] == records[1]
+
+
 class TestStudyViews:
     def test_aggregate_cached(self, tiny_study):
         a = tiny_study.aggregate("linx", 4)

@@ -255,6 +255,40 @@ class TestPageParameters:
         assert status == 200
 
 
+class TestLongNeighborIds:
+    """A neighbor id wider than any 32-bit ASN is an unknown resource
+    (404) on both URL layouts, never a 500 from ``int()``'s digit
+    limit."""
+
+    @pytest.mark.parametrize("layout", ROUTES_PATHS)
+    @pytest.mark.parametrize("asn", ["1" * 5000, "1" * 11],
+                             ids=["5000-digits", "11-digits"])
+    def test_handle_answers_404(self, lg_setup, layout, asn):
+        server, _url, _rs, _gen = lg_setup
+        status, payload = server.handle(layout.format(asn=asn))
+        assert status == 404
+        assert payload["code"] == 404
+
+    @pytest.mark.parametrize("layout", ROUTES_PATHS)
+    def test_widest_asn_is_looked_up(self, lg_setup, layout):
+        server, _url, _rs, _gen = lg_setup
+        status, payload = server.handle(layout.format(asn=4294967295))
+        assert status == 404
+        # the ten-digit id reached the peer lookup: no such neighbor
+        assert payload["message"].endswith("4294967295")
+
+    def test_socket_answers_404_and_keeps_serving(self, lg_setup):
+        server, _url, rs, _gen = lg_setup
+        status, _headers, body = get(
+            server.port, ROUTES_PATHS[0].format(asn="1" * 5000))
+        assert status == 404
+        assert json.loads(body)["code"] == 404
+        asn = sorted(rs.peer_asns())[0]
+        status, _headers, _body = get(server.port,
+                                      ROUTES_PATHS[0].format(asn=asn))
+        assert status == 200
+
+
 class TestLoopServing:
     """The LG on its event loop: stalls overlap, the connection cap's
     ledger follows connection closes, the ops plane draws no fault."""
